@@ -1,6 +1,7 @@
 (* Beyond the paper (its SS 7 future work): scheduling on a platform with
    THREE memory pools — CPUs, GPUs and an FPGA, each with its own memory —
-   using the generalised k-pool heuristics of lib/multi.
+   using the list-scheduling core with per-pool durations, each schedule
+   checked by the independent k-pool oracle of lib/multi.
 
    Run with: dune exec examples/multi_accelerator.exe *)
 
@@ -18,16 +19,14 @@ let () =
         | _ -> [| base /. 2.; base *. 4.; base *. 4. |] (* CPU-only-ish *))
   in
   let problem = Mproblem.make g ~durations in
+  let durations = Mproblem.columns problem in
   let platform caps =
-    Mplatform.make
-      (List.map2
-         (fun procs capacity -> { Mplatform.procs; Mplatform.capacity })
-         [ 4; 2; 1 ] caps)
+    Platform.of_pools (List.map2 (fun procs capacity -> { Platform.procs; capacity }) [ 4; 2; 1 ] caps)
   in
 
   (* Memory-oblivious reference on unbounded pools. *)
   let unbounded = platform [ infinity; infinity; infinity ] in
-  let s = Mheuristics.heft problem unbounded in
+  let s = Heuristics.heft ~durations g unbounded in
   let r = Mschedule.validate_exn problem unbounded s in
   Printf.printf "3-pool HEFT: makespan %g, peaks (CPU %g, GPU %g, FPGA %g)\n\n" r.Mschedule.makespan
     r.Mschedule.peaks.(0) r.Mschedule.peaks.(1) r.Mschedule.peaks.(2);
@@ -39,15 +38,15 @@ let () =
       let caps = Array.to_list (Array.map (fun p -> max 1. (alpha *. p)) r.Mschedule.peaks) in
       let p = platform caps in
       let cell run =
-        match run problem p with
+        match run p with
         | Ok s ->
           let r = Mschedule.validate_exn problem p s in
           Printf.sprintf "%10.0f" r.Mschedule.makespan
         | Error _ -> "infeasible"
       in
       Printf.printf "%6.2f  %14s  %14s\n" alpha
-        (cell (fun pr pl -> Mheuristics.memheft pr pl))
-        (cell (fun pr pl -> Mheuristics.memminmin pr pl)))
+        (cell (Heuristics.memheft ~durations g))
+        (cell (Heuristics.memminmin ~durations g)))
     [ 1.0; 0.8; 0.6; 0.5; 0.4; 0.3 ];
   Printf.printf
     "\nThe same memory/makespan trade-off as the dual-memory case carries over\n\

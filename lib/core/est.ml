@@ -11,85 +11,97 @@ let eps = 1e-9
 
 type estimate = {
   task : int;
-  memory : Platform.memory;
+  pool : int;
   est : float;
   eft : float;
   comm_batch : float;
 }
 
+let default_durations g = [| Dag.Csr.w_blue g; Dag.Csr.w_red g |]
+
+(* The Dag builder's rules for processing times, applied to caller-supplied
+   columns: a NaN would silently lose every EFT comparison it enters. *)
+let check_durations ~fn g durations =
+  let n = Dag.n_tasks g in
+  if Array.length durations = 0 then invalid_arg (fn ^ ": at least one duration column");
+  Array.iter
+    (fun col ->
+      if Array.length col <> n then invalid_arg (fn ^ ": one duration per task");
+      Array.iter
+        (fun w ->
+          Fp.check_finite ~what:(fn ^ ": duration") w;
+          if w < 0. then invalid_arg (fn ^ ": negative duration"))
+        col)
+    durations
+
 (* The evaluation context: flat read-only views of the graph plus the pieces
-   of scheduling state the EST formulas read.  Every array is SHARED with the
-   owning [Sched_state.t] (which mutates [aft]/[mem_code]/[avail]/[busy] and
-   the staircases on commit); only the scratch arrays are private.  A context
-   must therefore never be shared across domains — [Sched_state.copy] builds
-   a fresh one around the copied arrays. *)
+   of scheduling state the EST formulas read.  Every non-scratch array is
+   SHARED with the owning [Sched_state.t] (which mutates [aft]/[pool_code]/
+   [avail]/[busy]/[min_avail] and the staircases on commit).  A context must
+   therefore never be shared across domains — [Sched_state.copy] builds a
+   fresh one around the copied arrays. *)
 type ctx = {
   options : options;
+  n_pools : int;
   (* graph views (read-only, from Dag.Csr) *)
   pred_off : int array;
   pred_eid : int array;
   pred_src : int array;
   e_size : float array;
   e_comm : float array;
-  w_blue : float array;
-  w_red : float array;
+  w : float array array;  (* w.(pool).(task) *)
   out_sz : float array;
   (* scheduling state, shared with the owning Sched_state.t *)
-  free_blue : Staircase.t;
-  free_red : Staircase.t;
+  free : Staircase.t array;
   aft : float array;
-  mem_code : int array;  (* -1 = unassigned, 0 = Blue, 1 = Red *)
+  pool_code : int array;  (* -1 = unassigned, else the task's pool *)
   avail : float array;
   busy : (float * float) list array;
-  procs_blue : int list;
-  procs_red : int list;
-  mutable min_avail_blue : float;
-  mutable min_avail_red : float;
-  (* scratch: cross-edge eids of the estimate in flight (sized max in-degree;
-     two so the pair evaluation can partition one predecessor walk) *)
-  cross_a : int array;
-  cross_b : int array;
+  procs : int list array;
+  min_avail : float array;
+  (* scratch of the predecessor walk, one slot per pool: the cross-edge ids
+     (sized max in-degree) and the running aggregates *)
+  cross : int array array;
+  n_cross : int array;
+  cross_in : float array;
+  c_batch : float array;
+  min_cross_aft : float array;
+  prec : float array;
 }
 
-let code_of_mem = function Platform.Blue -> 0 | Platform.Red -> 1
-let free_of c = function Platform.Blue -> c.free_blue | Platform.Red -> c.free_red
-let procs_of_mem c = function Platform.Blue -> c.procs_blue | Platform.Red -> c.procs_red
-
-let min_avail_of c = function
-  | Platform.Blue -> c.min_avail_blue
-  | Platform.Red -> c.min_avail_red
-
-let make ~options ~g ~free_blue ~free_red ~aft ~mem_code ~avail ~busy ~procs_blue ~procs_red =
+let make ~options ~g ~durations ~free ~aft ~pool_code ~avail ~busy ~procs ~min_avail =
+  let k = Array.length free in
   let scratch = max 1 (Dag.Csr.max_in_degree g) in
   {
     options;
+    n_pools = k;
     pred_off = Dag.Csr.pred_off g;
     pred_eid = Dag.Csr.pred_eid g;
     pred_src = Dag.Csr.pred_src g;
     e_size = Dag.Csr.e_size g;
     e_comm = Dag.Csr.e_comm g;
-    w_blue = Dag.Csr.w_blue g;
-    w_red = Dag.Csr.w_red g;
+    w = durations;
     out_sz = Dag.Csr.out_sz g;
-    free_blue;
-    free_red;
+    free;
     aft;
-    mem_code;
+    pool_code;
     avail;
     busy;
-    procs_blue;
-    procs_red;
-    min_avail_blue = 0.;
-    min_avail_red = 0.;
-    cross_a = Array.make scratch 0;
-    cross_b = Array.make scratch 0;
+    procs;
+    min_avail;
+    cross = Array.init k (fun _ -> Array.make scratch 0);
+    n_cross = Array.make k 0;
+    cross_in = Array.make k 0.;
+    c_batch = Array.make k 0.;
+    min_cross_aft = Array.make k infinity;
+    prec = Array.make k 0.;
   }
 
-(* Earliest start on some processor of [mu], given a lower bound [lb] and the
-   task duration [w]. *)
-let resource_est c mu ~lb ~w =
+(* Earliest start on some processor of pool [q], given a lower bound [lb]
+   and the task duration [w]. *)
+let resource_est c q ~lb ~w =
   match c.options.proc_policy with
-  | Earliest_available -> Float.max lb (min_avail_of c mu)
+  | Earliest_available -> Float.max lb c.min_avail.(q)
   | Insertion ->
     let earliest_on p =
       (* Scan the sorted busy intervals for the first gap of length [w]
@@ -101,7 +113,7 @@ let resource_est c mu ~lb ~w =
       in
       scan lb c.busy.(p)
     in
-    List.fold_left (fun acc p -> Float.min acc (earliest_on p)) infinity (procs_of_mem c mu)
+    List.fold_left (fun acc p -> Float.min acc (earliest_on p)) infinity c.procs.(q)
 
 (* In-place stable insertion sort of [cross.(0..k-1)] by decreasing transfer
    time.  Shifting only while strictly smaller keeps equal-comm edges in
@@ -120,30 +132,33 @@ let sort_desc_comm c cross k =
     cross.(!j + 1) <- e
   done
 
-(* Memory lower bound on the start time given the cross-edge aggregates, or
-   None when the task cannot fit (the paper's EFT = +infinity case).
-   [cross.(0..k-1)] holds the incoming cross-memory edge ids in predecessor
-   order (mutated in place by the per-edge sort). *)
-let memory_lb c mu ~cross ~k ~cross_in ~c_batch ~min_cross_aft ~task_level =
-  let free = free_of c mu in
+(* Memory lower bound on the start time on pool [q] from the aggregates the
+   walk left in [q]'s scratch slot, or [infinity] when the task cannot fit
+   (the paper's EFT = +infinity case; a feasible bound is always a finite
+   staircase time).  The per-edge sort permutes [q]'s cross-edge ids. *)
+let memory_lb c i q =
+  let free = c.free.(q) in
+  let cross_in = c.cross_in.(q) in
+  let task_level = cross_in +. c.out_sz.(i) in
   match Staircase.earliest_suffix_ge free ~level:task_level ~from:0. with
-  | None -> None
+  | None -> infinity
   | Some t_task -> (
-    if Float.equal cross_in 0. then Some (t_task, c_batch)
+    if Float.equal cross_in 0. then t_task
     else begin
       match c.options.comm_mode with
       | Jit_batched -> (
         (* The paper's comm_mem_EST: the whole incoming batch must fit over a
            window of the maximal transfer time. *)
         match Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. with
-        | None -> None
-        | Some t_comm -> Some (Float.max t_task (Fp.lb_plus t_comm c_batch), c_batch))
+        | None -> infinity
+        | Some t_comm -> Float.max t_task (Fp.lb_plus t_comm c.c_batch.(q)))
       | Jit_per_edge ->
         (* Exact accounting of just-in-time transfers: the file of the cross
            edge with the k-th largest transfer time is resident from
            [start - C_k] on, so at that instant only the k largest-C files
            are present.  For each prefix (sorted by decreasing C) the prefix
            mass must fit from [start - C_k] on. *)
+        let cross = c.cross.(q) and k = c.n_cross.(q) in
         sort_desc_comm c cross k;
         let acc = ref 0. and lb = ref 0. in
         let ok = ref true and idx = ref 0 in
@@ -158,101 +173,74 @@ let memory_lb c mu ~cross ~k ~cross_in ~c_batch ~min_cross_aft ~task_level =
             lb := Float.max !lb (Fp.lb_plus t_k c.e_comm.(e)));
           incr idx
         done;
-        if !ok then Some (Float.max t_task !lb, c_batch) else None
+        if !ok then Float.max t_task !lb else infinity
       | Eager -> (
         (* Transfers fire at producer completion: the destination must be able
            to hold every incoming file from the earliest producer finish on. *)
         match Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. with
-        | Some t_comm when t_comm <= min_cross_aft +. eps -> Some (t_task, c_batch)
-        | _ -> None)
+        | Some t_comm when t_comm <= c.min_cross_aft.(q) +. eps -> t_task
+        | _ -> infinity)
     end)
 
-let finish c i mu ~cross ~k ~cross_in ~c_batch ~min_cross_aft ~prec =
-  let task_level = cross_in +. c.out_sz.(i) in
-  match memory_lb c mu ~cross ~k ~cross_in ~c_batch ~min_cross_aft ~task_level with
-  | None -> None
-  | Some (mem_lb, c_batch) ->
-    let lb = Float.max mem_lb prec in
-    let w = match mu with Platform.Blue -> c.w_blue.(i) | Platform.Red -> c.w_red.(i) in
-    let est = resource_est c mu ~lb ~w in
-    Some { task = i; memory = mu; est; eft = est +. w; comm_batch = c_batch }
+let finish c i q =
+  let mem_lb = memory_lb c i q in
+  if Float.equal mem_lb infinity then None
+  else begin
+    let lb = Float.max mem_lb c.prec.(q) in
+    let w = c.w.(q).(i) in
+    let est = resource_est c q ~lb ~w in
+    Some { task = i; pool = q; est; eft = est +. w; comm_batch = c.c_batch.(q) }
+  end
 
-(* One cache-linear CSR walk of the predecessors, allocation-free: cross-edge
-   ids land in a scratch array and the aggregates (total cross size, max
-   transfer time, earliest cross producer finish, precedence EST) accumulate
-   in locals.  Caller guarantees [i] is ready. *)
-let estimate_ready c i mu =
-  let code = code_of_mem mu in
-  let cross = c.cross_a in
-  let k = ref 0 in
-  let cross_in = ref 0. and c_batch = ref 0. and min_cross_aft = ref infinity in
-  let prec = ref 0. in
-  for p = c.pred_off.(i) to c.pred_off.(i + 1) - 1 do
-    let j = c.pred_src.(p) in
-    let mj = c.mem_code.(j) in
-    if mj = code then begin
-      if c.aft.(j) > !prec then prec := c.aft.(j)
-    end
-    else if mj >= 0 then begin
-      let e = c.pred_eid.(p) in
-      cross.(!k) <- e;
-      incr k;
-      cross_in := !cross_in +. c.e_size.(e);
-      if c.e_comm.(e) > !c_batch then c_batch := c.e_comm.(e);
-      if c.aft.(j) < !min_cross_aft then min_cross_aft := c.aft.(j);
-      let arrival = c.aft.(j) +. c.e_comm.(e) in
-      if arrival > !prec then prec := arrival
-    end
-    else invalid_arg "Sched_state: parent not assigned"
+(* One cache-linear CSR walk of the predecessors for pools [lo..hi],
+   allocation-free: a parent on pool [q] feeds [q]'s precedence EST, and is a
+   cross parent of every other pool — its edge id lands in that pool's
+   scratch row and the aggregates (total cross size, max transfer time,
+   earliest cross producer finish, precedence EST) accumulate in that pool's
+   slot.  Each pool sees the predecessors in row order, so the result does
+   not depend on which other pools share the walk.  Caller guarantees [i] is
+   ready. *)
+let walk c i lo hi =
+  for q = lo to hi do
+    c.n_cross.(q) <- 0;
+    c.cross_in.(q) <- 0.;
+    c.c_batch.(q) <- 0.;
+    c.min_cross_aft.(q) <- infinity;
+    c.prec.(q) <- 0.
   done;
-  finish c i mu ~cross ~k:!k ~cross_in:!cross_in ~c_batch:!c_batch
-    ~min_cross_aft:!min_cross_aft ~prec:!prec
-
-(* Both memories from a single predecessor walk: a parent on blue feeds the
-   blue precedence EST and the red cross set, and vice versa.  Each side's
-   aggregates see the same predecessors in the same order as a standalone
-   [estimate_ready] walk, so the pair is bit-identical to two walks. *)
-let estimate_pair_ready c i =
-  let ca = c.cross_a and cb = c.cross_b in
-  let ka = ref 0 and kb = ref 0 in
-  let in_a = ref 0. and in_b = ref 0. in
-  let batch_a = ref 0. and batch_b = ref 0. in
-  let aft_a = ref infinity and aft_b = ref infinity in
-  let prec_a = ref 0. and prec_b = ref 0. in
   for p = c.pred_off.(i) to c.pred_off.(i + 1) - 1 do
     let j = c.pred_src.(p) in
-    let mj = c.mem_code.(j) in
+    let mj = c.pool_code.(j) in
     if mj < 0 then invalid_arg "Sched_state: parent not assigned";
     let e = c.pred_eid.(p) in
     let aft_j = c.aft.(j) in
-    let arrival = aft_j +. c.e_comm.(e) in
-    if mj = 0 then begin
-      (* parent on blue: same-memory for blue, cross for red *)
-      if aft_j > !prec_a then prec_a := aft_j;
-      cb.(!kb) <- e;
-      incr kb;
-      in_b := !in_b +. c.e_size.(e);
-      if c.e_comm.(e) > !batch_b then batch_b := c.e_comm.(e);
-      if aft_j < !aft_b then aft_b := aft_j;
-      if arrival > !prec_b then prec_b := arrival
-    end
-    else begin
-      if aft_j > !prec_b then prec_b := aft_j;
-      ca.(!ka) <- e;
-      incr ka;
-      in_a := !in_a +. c.e_size.(e);
-      if c.e_comm.(e) > !batch_a then batch_a := c.e_comm.(e);
-      if aft_j < !aft_a then aft_a := aft_j;
-      if arrival > !prec_a then prec_a := arrival
-    end
-  done;
-  ( finish c i Platform.Blue ~cross:ca ~k:!ka ~cross_in:!in_a ~c_batch:!batch_a
-      ~min_cross_aft:!aft_a ~prec:!prec_a,
-    finish c i Platform.Red ~cross:cb ~k:!kb ~cross_in:!in_b ~c_batch:!batch_b
-      ~min_cross_aft:!aft_b ~prec:!prec_b )
+    for q = lo to hi do
+      if q = mj then begin
+        if aft_j > c.prec.(q) then c.prec.(q) <- aft_j
+      end
+      else begin
+        let k = c.n_cross.(q) in
+        c.cross.(q).(k) <- e;
+        c.n_cross.(q) <- k + 1;
+        c.cross_in.(q) <- c.cross_in.(q) +. c.e_size.(e);
+        if c.e_comm.(e) > c.c_batch.(q) then c.c_batch.(q) <- c.e_comm.(e);
+        if aft_j < c.min_cross_aft.(q) then c.min_cross_aft.(q) <- aft_j;
+        let arrival = aft_j +. c.e_comm.(e) in
+        if arrival > c.prec.(q) then c.prec.(q) <- arrival
+      end
+    done
+  done
+
+let estimate_ready c i q =
+  walk c i q q;
+  finish c i q
+
+let estimates_ready c i =
+  walk c i 0 (c.n_pools - 1);
+  Array.init c.n_pools (finish c i)
 
 (* Minimum-EFT choice with the paper's tie-breaking (earlier EST, then the
-   first argument — blue when called on (blue, red)). *)
+   first argument — the lower pool when folded in pool order). *)
 let better_estimate a b =
   match (a, b) with
   | None, x | x, None -> x
@@ -261,3 +249,5 @@ let better_estimate a b =
     else if ea.eft +. eps < eb.eft then a
     else if eb.est +. eps < ea.est then b
     else a
+
+let best_of estimates = Array.fold_left better_estimate None estimates

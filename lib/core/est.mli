@@ -3,10 +3,12 @@
     This module owns the §5.1 EST formulas of the scheduler ([resource_EST],
     [precedence_EST], [task_mem_EST], [comm_mem_EST]) evaluated over
     {!Dag.Csr} arrays: one cache-linear walk of a task's packed predecessor
-    row with zero allocation in the loop (cross-edge ids go to a scratch
-    array, aggregates to locals).  {!Sched_state} re-exports the option and
-    estimate types below and embeds a {!ctx} that shares its mutable arrays;
-    use the [Sched_state] API unless you are inside the scheduling core.
+    row with zero allocation in the loop (cross-edge ids go to a per-pool
+    scratch row, aggregates to per-pool slots).  Every per-memory quantity is
+    indexed by pool number, so one walk serves any number of pools.
+    {!Sched_state} re-exports the option and estimate types below and embeds
+    a {!ctx} that shares its mutable arrays; use the [Sched_state] API unless
+    you are inside the scheduling core.
 
     Bit-identity contract: every float operation (operator choice, operand
     order, accumulation order) mirrors the historical list-walking code in
@@ -38,69 +40,50 @@ val eps : float
 
 type estimate = {
   task : int;
-  memory : Platform.memory;
+  pool : int;  (** the memory pool the estimate places the task on *)
   est : float;  (** earliest execution start time *)
-  eft : float;  (** [est + W^(mu)] *)
-  comm_batch : float;  (** [C^(mu)(i)]: max transfer time over cross parents *)
+  eft : float;  (** [est + W^(pool)] *)
+  comm_batch : float;  (** [C^(pool)(i)]: max transfer time over cross parents *)
 }
+
+val default_durations : Dag.t -> float array array
+(** The dual-memory durations as pool-major columns:
+    [[| Dag.Csr.w_blue g; Dag.Csr.w_red g |]]. *)
+
+val check_durations : fn:string -> Dag.t -> float array array -> unit
+(** Checks caller-supplied duration columns as the Dag builder checks
+    processing times: at least one column, one entry per task, every entry
+    finite and non-negative.  [fn] prefixes the error message.
+    @raise Invalid_argument otherwise. *)
 
 (** The evaluation context.  All non-scratch arrays are shared with the
     owning [Sched_state.t], which mutates them on commit; the context itself
-    only writes its scratch and the [min_avail_*] caches.  Never share a
-    context across domains. *)
-type ctx = {
-  options : options;
-  pred_off : int array;
-  pred_eid : int array;
-  pred_src : int array;
-  e_size : float array;
-  e_comm : float array;
-  w_blue : float array;
-  w_red : float array;
-  out_sz : float array;
-  free_blue : Staircase.t;
-  free_red : Staircase.t;
-  aft : float array;
-  mem_code : int array;  (** per task: [-1] unassigned, [0] Blue, [1] Red *)
-  avail : float array;
-  busy : (float * float) list array;
-  procs_blue : int list;
-  procs_red : int list;
-  mutable min_avail_blue : float;
-  mutable min_avail_red : float;
-  cross_a : int array;
-  cross_b : int array;
-}
+    only writes its scratch.  Never share a context across domains. *)
+type ctx
 
 val make :
   options:options ->
   g:Dag.t ->
-  free_blue:Staircase.t ->
-  free_red:Staircase.t ->
+  durations:float array array ->
+  free:Staircase.t array ->
   aft:float array ->
-  mem_code:int array ->
+  pool_code:int array ->
   avail:float array ->
   busy:(float * float) list array ->
-  procs_blue:int list ->
-  procs_red:int list ->
+  procs:int list array ->
+  min_avail:float array ->
   ctx
-(** Builds a context around the given shared state ([min_avail_*] start at
-    [0.], matching an empty schedule). *)
+(** Builds a context around the given shared state.  [durations],
+    [free], [procs] and [min_avail] are indexed by pool; [pool_code] holds
+    [-1] for an unassigned task, its pool otherwise. *)
 
-val code_of_mem : Platform.memory -> int
-val free_of : ctx -> Platform.memory -> Staircase.t
-val min_avail_of : ctx -> Platform.memory -> float
-
-val resource_est : ctx -> Platform.memory -> lb:float -> w:float -> float
-(** Earliest start on some processor of the memory, at or after [lb]. *)
-
-val estimate_ready : ctx -> int -> Platform.memory -> estimate option
-(** EST/EFT of a task on one memory, or [None] when it cannot fit.  The
+val estimate_ready : ctx -> int -> int -> estimate option
+(** EST/EFT of a task on one pool, or [None] when it cannot fit.  The
     caller must guarantee the task is ready (all parents assigned). *)
 
-val estimate_pair_ready : ctx -> int -> estimate option * estimate option
-(** [(blue, red)] estimates from a single predecessor walk — bit-identical
-    to two {!estimate_ready} calls at half the traversal cost. *)
+val estimates_ready : ctx -> int -> estimate option array
+(** Every pool's estimate from a single predecessor walk — bit-identical to
+    one {!estimate_ready} call per pool. *)
 
-val better_estimate : estimate option -> estimate option -> estimate option
-(** Minimum-EFT choice (ties: earlier EST, then the first argument). *)
+val best_of : estimate option array -> estimate option
+(** Minimum EFT; ties go to the earlier EST, then to the lower pool. *)

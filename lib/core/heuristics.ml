@@ -13,9 +13,10 @@ let fail state reason = Error { reason; n_scheduled = Sched_state.n_assigned sta
    Committed tasks are unlinked from the scan order (a doubly linked list
    over priority positions, sentinel at [n]), so later rounds only touch the
    tasks still to be placed instead of re-testing the whole list. *)
-let memheft_run ?options ?rng ?ranks g platform =
-  let state = Sched_state.create ?options g platform in
-  let order = Rank.priority_list ?rng ?ranks g in
+let memheft_run ?options ?rng ?ranks ?durations g platform =
+  let state = Sched_state.create ?options ?durations g platform in
+  let ranks = match ranks with Some r -> r | None -> Rank.upward_ranks ?durations g in
+  let order = Rank.priority_list ?rng ~ranks g in
   let n = Dag.n_tasks g in
   let next = Array.init (n + 1) (fun k -> (k + 1) mod (n + 1)) in
   let prev = Array.init (n + 1) (fun k -> (k + n) mod (n + 1)) in
@@ -48,12 +49,13 @@ let memheft_run ?options ?rng ?ranks g platform =
   in
   (state, round ())
 
-let memheft ?options ?rng ?ranks g platform = snd (memheft_run ?options ?rng ?ranks g platform)
+let memheft ?options ?rng ?ranks ?durations g platform =
+  snd (memheft_run ?options ?rng ?ranks ?durations g platform)
 
 (* Algorithm 2 (MemMinMin).  Among ready tasks, schedule the one with the
    smallest earliest finish time; ties break by task id. *)
-let memminmin_run ?options g platform =
-  let state = Sched_state.create ?options g platform in
+let memminmin_run ?options ?durations g platform =
+  let state = Sched_state.create ?options ?durations g platform in
   let n = Dag.n_tasks g in
   let rec round () =
     if Sched_state.n_assigned state = n then Ok (Sched_state.schedule state)
@@ -75,7 +77,7 @@ let memminmin_run ?options g platform =
   in
   (state, round ())
 
-let memminmin ?options g platform = snd (memminmin_run ?options g platform)
+let memminmin ?options ?durations g platform = snd (memminmin_run ?options ?durations g platform)
 
 (* Pre-optimisation reference runners: the exact loops shipped before the
    hot-path overhaul — full priority-list rescans over committed tasks, O(n)
@@ -144,7 +146,7 @@ let memminmin_reference ?options g platform =
    - MaxMin: schedule the ready task with the LARGEST best EFT first (give
      long tasks a head start);
    - Sufferage: schedule the task that would suffer most from not getting
-     its preferred memory (largest second-best minus best EFT). *)
+     its preferred pool (largest second-best minus best EFT). *)
 let dynamic_run ?options ~select g platform =
   let state = Sched_state.create ?options g platform in
   let n = Dag.n_tasks g in
@@ -153,13 +155,13 @@ let dynamic_run ?options ~select g platform =
     else begin
       let best = ref None in
       Sched_state.iter_ready state (fun i ->
-          (* Both memories from a single predecessor walk; the winner is
-             derived from the pair already in hand with the exact comparison
-             best_estimate uses. *)
-          let blue, red = Sched_state.estimate_pair state i in
-          match Sched_state.better_estimate blue red with
+          (* Every pool from a single predecessor walk; the winner is
+             derived from the estimates already in hand with the exact
+             comparison best_estimate uses. *)
+          let estimates = Sched_state.estimates state i in
+          match Sched_state.best_of estimates with
           | Some e ->
-            let score = select ~best:e ~blue ~red in
+            let score = select ~best:e ~estimates in
             (match !best with
             | Some (s, _) when s >= score -> ()
             | _ -> best := Some (score, e))
@@ -174,22 +176,34 @@ let dynamic_run ?options ~select g platform =
   (state, round ())
 
 let memmaxmin ?options g platform =
-  let select ~best ~blue:_ ~red:_ = best.Sched_state.eft in
+  let select ~best ~estimates:_ = best.Sched_state.eft in
   snd (dynamic_run ?options ~select g platform)
 
 let memsufferage ?options g platform =
-  let select ~best ~blue ~red =
-    match (blue, red) with
-    | Some a, Some b -> abs_float (a.Sched_state.eft -. b.Sched_state.eft)
-    | Some _, None | None, Some _ ->
-      (* only one memory fits: infinite sufferage, schedule it now *)
-      infinity
-    | None, None -> ignore best; neg_infinity
+  (* Second-smallest minus smallest EFT over the pools that fit; with one
+     fitting pool the second is [infinity]: infinite sufferage, schedule it
+     now.  For two pools this is exactly [abs_float (a.eft -. b.eft)]. *)
+  let select ~best:_ ~estimates =
+    let lo = ref infinity and lo2 = ref infinity in
+    Array.iter
+      (function
+        | Some e ->
+          let f = e.Sched_state.eft in
+          if f < !lo then begin
+            lo2 := !lo;
+            lo := f
+          end
+          else if f < !lo2 then lo2 := f
+        | None -> ())
+      estimates;
+    !lo2 -. !lo
   in
   snd (dynamic_run ?options ~select g platform)
 
-let unbounded_platform platform =
-  Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity
+let with_capacity platform cap =
+  Platform.with_capacities platform (List.init (Platform.n_pools platform) (fun _ -> cap))
+
+let unbounded_platform platform = with_capacity platform infinity
 
 (* Memory-oblivious runs with the planner's accounting enabled: a capacity of
    the total file size can never constrain any decision (each memory holds at
@@ -198,22 +212,22 @@ let unbounded_platform platform =
    while the state tracks the planned peaks. *)
 let never_binding_platform g platform =
   let cap = Float.max 1. (Dag.total_file_size g) in
-  Platform.with_bounds platform ~m_blue:cap ~m_red:cap
+  with_capacity platform cap
 
 let heft_measured ?options ?rng ?ranks g platform =
   match memheft_run ?options ?rng ?ranks g (never_binding_platform g platform) with
   | state, Ok s ->
-    (s, (Sched_state.planned_peak state Platform.Blue, Sched_state.planned_peak state Platform.Red))
+    (s, (Sched_state.planned_peak state 0, Sched_state.planned_peak state 1))
   | _, Error _ -> assert false
 
 let minmin_measured ?options g platform =
   match memminmin_run ?options g (never_binding_platform g platform) with
   | state, Ok s ->
-    (s, (Sched_state.planned_peak state Platform.Blue, Sched_state.planned_peak state Platform.Red))
+    (s, (Sched_state.planned_peak state 0, Sched_state.planned_peak state 1))
   | _, Error _ -> assert false
 
-let heft ?options ?rng ?ranks g platform =
-  match memheft ?options ?rng ?ranks g (unbounded_platform platform) with
+let heft ?options ?rng ?ranks ?durations g platform =
+  match memheft ?options ?rng ?ranks ?durations g (unbounded_platform platform) with
   | Ok s -> s
   | Error _ -> assert false (* unbounded memories: the scan always commits *)
 

@@ -17,19 +17,29 @@ type failure = {
 type result = (Schedule.t, failure) Result.t
 
 val memheft :
-  ?options:Sched_state.options -> ?rng:Rng.t -> ?ranks:float array -> Dag.t -> Platform.t -> result
+  ?options:Sched_state.options ->
+  ?rng:Rng.t ->
+  ?ranks:float array ->
+  ?durations:float array array ->
+  Dag.t ->
+  Platform.t ->
+  result
 (** Memory-aware HEFT.  [rng] randomises rank tie-breaking as in the paper;
     omitted, ties break by task id (deterministic).  [ranks] supplies
     precomputed {!Rank.upward_ranks} (multi-restart callers compute them
-    once — they depend only on the graph). *)
+    once — they depend only on the graph).  [durations] gives per-pool
+    task durations for a platform with any number of memory pools (see
+    {!Sched_state.create}); omitted, the graph's blue and red times. *)
 
-val memminmin : ?options:Sched_state.options -> Dag.t -> Platform.t -> result
+val memminmin :
+  ?options:Sched_state.options -> ?durations:float array array -> Dag.t -> Platform.t -> result
 (** Memory-aware MinMin. *)
 
 val memheft_run :
   ?options:Sched_state.options ->
   ?rng:Rng.t ->
   ?ranks:float array ->
+  ?durations:float array array ->
   Dag.t ->
   Platform.t ->
   Sched_state.t * result
@@ -37,7 +47,12 @@ val memheft_run :
     the decision sequence read it back with {!Sched_state.commit_order}
     (the replay engine turns it into an offline plan). *)
 
-val memminmin_run : ?options:Sched_state.options -> Dag.t -> Platform.t -> Sched_state.t * result
+val memminmin_run :
+  ?options:Sched_state.options ->
+  ?durations:float array array ->
+  Dag.t ->
+  Platform.t ->
+  Sched_state.t * result
 (** {!memminmin} with its final state, as {!memheft_run}. *)
 
 val memheft_reference :
@@ -55,6 +70,7 @@ val heft :
   ?options:Sched_state.options ->
   ?rng:Rng.t ->
   ?ranks:float array ->
+  ?durations:float array array ->
   Dag.t ->
   Platform.t ->
   Schedule.t
@@ -63,6 +79,11 @@ val heft :
 
 val minmin : ?options:Sched_state.options -> Dag.t -> Platform.t -> Schedule.t
 (** Reference MinMin, memory-oblivious. *)
+
+val unbounded_platform : Platform.t -> Platform.t
+(** The same processors with every pool unbounded: what the
+    memory-oblivious heuristics run on, and what their schedules are
+    validated against. *)
 
 val heft_measured :
   ?options:Sched_state.options ->
@@ -86,8 +107,8 @@ val memmaxmin : ?options:Sched_state.options -> Dag.t -> Platform.t -> result
 
 val memsufferage : ?options:Sched_state.options -> Dag.t -> Platform.t -> result
 (** Extension: memory-aware Sufferage — the ready task that loses most by
-    not getting its preferred memory (largest EFT gap between the two
-    memories) goes first. *)
+    not getting its preferred pool (largest gap between its second-best and
+    best EFT) goes first. *)
 
 val maxmin : ?options:Sched_state.options -> Dag.t -> Platform.t -> Schedule.t
 (** Memory-oblivious MaxMin. *)

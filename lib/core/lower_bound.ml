@@ -17,7 +17,8 @@ let min_memory g =
   !worst
 
 let provably_infeasible g platform =
-  let cap =
-    Float.max (Platform.capacity platform Platform.Blue) (Platform.capacity platform Platform.Red)
-  in
-  cap < min_memory g
+  let cap = ref (Platform.pool_capacity platform 0) in
+  for q = 1 to Platform.n_pools platform - 1 do
+    cap := Float.max !cap (Platform.pool_capacity platform q)
+  done;
+  !cap < min_memory g

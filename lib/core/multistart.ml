@@ -7,7 +7,6 @@ type t = {
 
 let memheft ?options ?pool ?(restarts = 8) ?(seed = 1) g platform =
   if restarts < 0 then invalid_arg "Multistart.memheft: negative restarts";
-  let unbounded = Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity in
   (* Upward ranks depend only on the graph: compute them once here instead
      of once per restart (each pass re-jitters the tie-breaking, not the
      ranks themselves). *)
@@ -25,7 +24,7 @@ let memheft ?options ?pool ?(restarts = 8) ?(seed = 1) g platform =
     | None -> List.map (fun pass -> pass ()) passes
     | Some pool -> Par.parallel_map pool ~f:(fun pass -> pass ()) passes
   in
-  let measure s = Schedule.makespan g unbounded s in
+  let measure s = Schedule.makespan g platform s in
   let head = List.hd runs in
   let init =
     match head with Ok s -> (head, 1, [ measure s ]) | Error _ -> (head, 0, [])

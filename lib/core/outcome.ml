@@ -13,7 +13,7 @@ let run ?options ?rng ?ranks heuristic g platform =
      unbounded capacities and report their measured peaks. *)
   let check_platform =
     if Heuristics.is_memory_aware heuristic then platform
-    else Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity
+    else Heuristics.unbounded_platform platform
   in
   match Heuristics.run ?options ?rng ?ranks heuristic g platform with
   | Ok s -> (

@@ -1,7 +1,24 @@
-let upward_ranks g =
-  let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
-  Paths.bottom_levels g
-    ~node_weight:(fun i -> (wb.(i) +. wr.(i)) /. 2.)
+(* Mean over the pool columns, summed in pool order: exactly
+   [(w0 +. w1) /. 2.] for two pools. *)
+let node_weight ?durations g =
+  let durations =
+    match durations with
+    | Some d ->
+      Est.check_durations ~fn:"Rank.node_weight" g d;
+      d
+    | None -> Est.default_durations g
+  in
+  let k = Array.length durations in
+  let kf = float_of_int k in
+  fun i ->
+    let s = ref durations.(0).(i) in
+    for q = 1 to k - 1 do
+      s := !s +. durations.(q).(i)
+    done;
+    !s /. kf
+
+let upward_ranks ?durations g =
+  Paths.bottom_levels g ~node_weight:(node_weight ?durations g)
     ~edge_weight:(fun e -> e.Dag.comm /. 2.)
 
 let priority_list ?rng ?ranks g =

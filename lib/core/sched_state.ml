@@ -10,10 +10,12 @@ let default_options = Est.default_options
 let eps = Est.eps
 
 (* One trail record per [commit], capturing every piece of state the commit
-   overwrites (plus journal marks for the two staircases) so [uncommit] can
-   restore the state bit-for-bit.  Shared structure (the previous [busy]
-   list) is captured by reference: a persistent list that [commit] replaces
-   rather than mutates.  The ready set needs no capture: it is derived from
+   overwrites (plus a journal mark per pool staircase) so [uncommit] can
+   restore the state bit-for-bit.  A commit only moves the availability
+   minimum and the planned peak of the task's own pool, so one scalar each
+   suffices.  Shared structure (the previous [busy] list) is captured by
+   reference: a persistent list that [commit] replaces rather than mutates.
+   The ready set needs no capture: it is derived from
    [assigned]/[pending_parents] (see below), both of which uncommit
    restores. *)
 type undo = {
@@ -21,16 +23,13 @@ type undo = {
   u_proc : int;
   u_avail : float;
   u_busy : (float * float) list;
-  u_min_blue : float;
-  u_min_red : float;
+  u_min_avail : float;
   u_aft : float;
   u_start : float;
   u_sproc : int;
   mutable u_comms : (int * float option) list;
-  u_planned_blue : float;
-  u_planned_red : float;
-  u_mark_blue : Staircase.mark;
-  u_mark_red : Staircase.mark;
+  u_planned : float;
+  u_marks : Staircase.mark array;
 }
 
 type t = {
@@ -38,21 +37,20 @@ type t = {
   platform : Platform.t;
   options : options;
   est_ctx : Est.ctx;  (* shares every mutable array below *)
-  free_blue : Staircase.t;
-  free_red : Staircase.t;
+  durations : float array array;  (* per pool, per task *)
+  free : Staircase.t array;  (* per pool: the free_mem staircase *)
   avail : float array;  (* per processor: finish time of its last task *)
+  min_avail : float array;  (* per pool: min of [avail] over its processors *)
   busy : (float * float) list array;
       (* per processor: sorted busy intervals.  Only maintained under the
          Insertion policy — nothing reads it under Earliest_available, and
          the sorted insert is quadratic on 10^5-task schedules. *)
   aft : float array;  (* actual finish time, per task *)
   assigned : bool array;
-  mem_of : Platform.memory option array;
-  mem_code : int array;  (* mem_of as -1/0/1, for the flat estimate walks *)
+  pool_code : int array;  (* per task: its pool, -1 while unassigned *)
   pending_parents : int array;
   sched : Schedule.t;
-  procs_blue : int list;  (* Platform.procs_of, cached: [estimate] is hot *)
-  procs_red : int list;
+  procs : int list array;  (* Platform.procs_of_pool, cached: [estimate] is hot *)
   out_sizes : float array;  (* Dag.Csr.out_sz view, cached likewise *)
   (* Flat ready set.  A task is ready iff [not assigned && pending = 0]; the
      arrays below are a superset index over that predicate: [ready_arr]
@@ -70,8 +68,7 @@ type t = {
   mutable ready_scratch : int array;
   mutable ready_stale : int;
   mutable assigned_count : int;
-  mutable planned_blue : float;
-  mutable planned_red : float;
+  planned : float array;  (* per pool, see [planned_peak] *)
   mutable trailing : bool;
   mutable trail : undo list;
   (* Committed task ids, most recent first; [commit_order] reverses it.  The
@@ -79,8 +76,18 @@ type t = {
   mutable commit_log : int list;
 }
 
-let create ?(options = default_options) g platform =
+let create ?(options = default_options) ?durations g platform =
   let n = Dag.n_tasks g in
+  let k = Platform.n_pools platform in
+  let durations =
+    match durations with
+    | Some d ->
+      Est.check_durations ~fn:"Sched_state.create" g d;
+      d
+    | None -> Est.default_durations g
+  in
+  if Array.length durations <> k then
+    invalid_arg "Sched_state.create: one duration column per memory pool";
   let pending = Array.make n 0 in
   Array.iter (fun (e : Dag.edge) -> pending.(e.Dag.dst) <- pending.(e.Dag.dst) + 1) (Dag.edges g);
   let ready_arr = Array.make (max 1 n) 0 in
@@ -93,37 +100,30 @@ let create ?(options = default_options) g platform =
       in_ready.(i) <- true
     end
   done;
-  let procs_blue = Platform.procs_of platform Platform.Blue in
-  let procs_red = Platform.procs_of platform Platform.Red in
-  let min_avail procs = List.fold_left (fun acc (_ : int) -> Float.min acc 0.) infinity procs in
-  let free_blue = Staircase.create (Platform.capacity platform Platform.Blue) in
-  let free_red = Staircase.create (Platform.capacity platform Platform.Red) in
+  let procs = Array.init k (Platform.procs_of_pool platform) in
+  let free = Array.init k (fun q -> Staircase.create (Platform.pool_capacity platform q)) in
   let avail = Array.make (Platform.n_procs platform) 0. in
+  (* Every pool owns at least one processor, all idle at 0. *)
+  let min_avail = Array.make k 0. in
   let busy = Array.make (Platform.n_procs platform) [] in
   let aft = Array.make n 0. in
-  let mem_code = Array.make n (-1) in
-  let est_ctx =
-    Est.make ~options ~g ~free_blue ~free_red ~aft ~mem_code ~avail ~busy ~procs_blue ~procs_red
-  in
-  est_ctx.Est.min_avail_blue <- min_avail procs_blue;
-  est_ctx.Est.min_avail_red <- min_avail procs_red;
+  let pool_code = Array.make n (-1) in
   {
     g;
     platform;
     options;
-    est_ctx;
-    free_blue;
-    free_red;
+    est_ctx = Est.make ~options ~g ~durations ~free ~aft ~pool_code ~avail ~busy ~procs ~min_avail;
+    durations;
+    free;
     avail;
+    min_avail;
     busy;
     aft;
     assigned = Array.make n false;
-    mem_of = Array.make n None;
-    mem_code;
+    pool_code;
     pending_parents = pending;
     sched = Schedule.create g;
-    procs_blue;
-    procs_red;
+    procs;
     out_sizes = Dag.Csr.out_sz g;
     ready_arr;
     ready_len = !ready_len;
@@ -133,37 +133,31 @@ let create ?(options = default_options) g platform =
     ready_scratch = Array.make (max 1 n) 0;
     ready_stale = 0;
     assigned_count = 0;
-    planned_blue = 0.;
-    planned_red = 0.;
+    planned = Array.make k 0.;
     trailing = false;
     trail = [];
     commit_log = [];
   }
 
 let copy t =
-  let free_blue = Staircase.copy t.free_blue in
-  let free_red = Staircase.copy t.free_red in
+  let free = Array.map Staircase.copy t.free in
   let avail = Array.copy t.avail in
+  let min_avail = Array.copy t.min_avail in
   let busy = Array.copy t.busy in
   let aft = Array.copy t.aft in
-  let mem_code = Array.copy t.mem_code in
-  let est_ctx =
-    Est.make ~options:t.options ~g:t.g ~free_blue ~free_red ~aft ~mem_code ~avail ~busy
-      ~procs_blue:t.procs_blue ~procs_red:t.procs_red
-  in
-  est_ctx.Est.min_avail_blue <- t.est_ctx.Est.min_avail_blue;
-  est_ctx.Est.min_avail_red <- t.est_ctx.Est.min_avail_red;
+  let pool_code = Array.copy t.pool_code in
   {
     t with
-    est_ctx;
-    free_blue;
-    free_red;
+    est_ctx =
+      Est.make ~options:t.options ~g:t.g ~durations:t.durations ~free ~aft ~pool_code ~avail ~busy
+        ~procs:t.procs ~min_avail;
+    free;
     avail;
+    min_avail;
     busy;
     aft;
     assigned = Array.copy t.assigned;
-    mem_of = Array.copy t.mem_of;
-    mem_code;
+    pool_code;
     pending_parents = Array.copy t.pending_parents;
     sched =
       {
@@ -175,6 +169,7 @@ let copy t =
     ready_buf = Array.copy t.ready_buf;
     in_ready = Array.copy t.in_ready;
     ready_scratch = Array.make (Array.length t.ready_scratch) 0;
+    planned = Array.copy t.planned;
     trailing = false;
     trail = [];
   }
@@ -182,8 +177,7 @@ let copy t =
 let set_trail t on =
   t.trailing <- on;
   t.trail <- [];
-  Staircase.set_journal t.free_blue on;
-  Staircase.set_journal t.free_red on
+  Array.iter (fun free -> Staircase.set_journal free on) t.free
 
 let snapshot_schedule t =
   {
@@ -287,39 +281,33 @@ let ready_tasks t =
   !acc
 
 let finish_time t i = t.aft.(i)
-let free_of t = function Platform.Blue -> t.free_blue | Platform.Red -> t.free_red
-let free_mem_final t mu = Staircase.final_value (free_of t mu)
-
-let planned_peak t = function
-  | Platform.Blue -> t.planned_blue
-  | Platform.Red -> t.planned_red
+let duration t i q = t.durations.(q).(i)
+let free_mem_final t q = Staircase.final_value t.free.(q)
+let planned_peak t q = t.planned.(q)
 
 type estimate = Est.estimate = {
   task : int;
-  memory : Platform.memory;
+  pool : int;
   est : float;
   eft : float;
   comm_batch : float;
 }
 
-let procs_of_mem t = function
-  | Platform.Blue -> t.procs_blue
-  | Platform.Red -> t.procs_red
+let estimate t i q = if not (is_ready t i) then None else Est.estimate_ready t.est_ctx i q
 
-let estimate t i mu = if not (is_ready t i) then None else Est.estimate_ready t.est_ctx i mu
+let estimates t i =
+  if not (is_ready t i) then Array.make (Platform.n_pools t.platform) None
+  else Est.estimates_ready t.est_ctx i
 
-let estimate_pair t i =
-  if not (is_ready t i) then (None, None) else Est.estimate_pair_ready t.est_ctx i
-
-let better_estimate = Est.better_estimate
+let best_of = Est.best_of
 
 let best_estimate t i =
-  let blue, red = estimate_pair t i in
-  better_estimate blue red
+  if not (is_ready t i) then None else Est.best_of (Est.estimates_ready t.est_ctx i)
 
-(* Processor of [mu] minimising idle time before a task starting at [start]
-   with duration [w] (paper: maximise avail among procs available by then). *)
-let select_proc t mu ~start ~w =
+(* Processor of pool [q] minimising idle time before a task starting at
+   [start] with duration [w] (paper: maximise avail among procs available by
+   then). *)
+let select_proc t q ~start ~w =
   match t.options.proc_policy with
   | Earliest_available ->
     let best = ref None in
@@ -327,10 +315,10 @@ let select_proc t mu ~start ~w =
       (fun p ->
         if t.avail.(p) <= start +. eps then begin
           match !best with
-          | Some q when t.avail.(q) >= t.avail.(p) -> ()
+          | Some r when t.avail.(r) >= t.avail.(p) -> ()
           | _ -> best := Some p
         end)
-      (procs_of_mem t mu);
+      t.procs.(q);
     (match !best with
     | Some p -> p
     | None -> invalid_arg "Sched_state.commit: stale estimate (no processor available)")
@@ -340,11 +328,11 @@ let select_proc t mu ~start ~w =
         (fun (b0, b1) -> b1 <= start +. eps || b0 +. eps >= start +. w)
         t.busy.(p)
     in
-    (match List.find_opt fits (procs_of_mem t mu) with
+    (match List.find_opt fits t.procs.(q) with
     | Some p -> p
     | None -> invalid_arg "Sched_state.commit: stale estimate (no insertion slot)")
 
-let insert_interval t p ~start ~finish =
+let insert_interval t q p ~start ~finish =
   (match t.options.proc_policy with
   | Earliest_available ->
     (* Nothing reads [busy] under this policy; the sorted insert below is
@@ -358,24 +346,22 @@ let insert_interval t p ~start ~finish =
     t.busy.(p) <- ins t.busy.(p));
   if finish > t.avail.(p) then begin
     t.avail.(p) <- finish;
-    (* Refresh the cached per-memory minima with the same fold the
+    (* Refresh the cached minimum of [p]'s pool with the same fold the
        pre-optimisation resource_EST ran on every estimate, so the cached
-       value is bit-identical to what that fold would return now. *)
-    let min_avail procs = List.fold_left (fun acc q -> Float.min acc t.avail.(q)) infinity procs in
-    t.est_ctx.Est.min_avail_blue <- min_avail t.procs_blue;
-    t.est_ctx.Est.min_avail_red <- min_avail t.procs_red
+       value is bit-identical to what that fold would return now.  No other
+       pool's processors changed. *)
+    t.min_avail.(q) <- List.fold_left (fun acc r -> Float.min acc t.avail.(r)) infinity t.procs.(q)
   end
 
 let commit t e =
-  let i = e.task and mu = e.memory in
+  let i = e.task and q = e.pool in
   if t.assigned.(i) then invalid_arg "Sched_state.commit: task already assigned";
   if not (is_ready t i) then invalid_arg "Sched_state.commit: task not ready";
   let g = t.g in
-  let code = Est.code_of_mem mu in
-  let w = Platform.w g i mu in
+  let w = t.durations.(q).(i) in
   let start = e.est and eft = e.eft in
-  let free_mu = free_of t mu and free_other = free_of t (Platform.other mu) in
-  let proc = select_proc t mu ~start ~w in
+  let free_q = t.free.(q) in
+  let proc = select_proc t q ~start ~w in
   (* Capture the about-to-be-overwritten state before any mutation.  The
      record only reads; it cannot perturb the commit, so a trailing commit is
      bit-identical to a plain one. *)
@@ -388,22 +374,19 @@ let commit t e =
           u_proc = proc;
           u_avail = t.avail.(proc);
           u_busy = t.busy.(proc);
-          u_min_blue = t.est_ctx.Est.min_avail_blue;
-          u_min_red = t.est_ctx.Est.min_avail_red;
+          u_min_avail = t.min_avail.(q);
           u_aft = t.aft.(i);
           u_start = t.sched.Schedule.starts.(i);
           u_sproc = t.sched.Schedule.procs.(i);
           u_comms = [];
-          u_planned_blue = t.planned_blue;
-          u_planned_red = t.planned_red;
-          u_mark_blue = Staircase.mark t.free_blue;
-          u_mark_red = Staircase.mark t.free_red;
+          u_planned = t.planned.(q);
+          u_marks = Array.map Staircase.mark t.free;
         }
   in
-  insert_interval t proc ~start ~finish:eft;
+  insert_interval t q proc ~start ~finish:eft;
   t.sched.Schedule.starts.(i) <- start;
   t.sched.Schedule.procs.(i) <- proc;
-  (* Incoming cross-memory transfers, walked over the packed CSR predecessor
+  (* Incoming cross-pool transfers, walked over the packed CSR predecessor
      row (ascending eid — the historical list order).  In both just-in-time
      modes each transfer starts at [start - C(j,i)] so that it completes
      exactly at the task start; the recorded memory profile is therefore
@@ -415,9 +398,9 @@ let commit t e =
   let deferred_frees = ref [] in
   for p = pred_off.(i) to pred_off.(i + 1) - 1 do
     let j = pred_src.(p) in
-    let mj = t.mem_code.(j) in
-    if mj < 0 then invalid_arg "Sched_state.commit: parent not assigned";
-    if mj <> code then begin
+    let qj = t.pool_code.(j) in
+    if qj < 0 then invalid_arg "Sched_state.commit: parent not assigned";
+    if qj <> q then begin
       let eid = pred_eid.(p) in
       let tau =
         match t.options.comm_mode with
@@ -428,32 +411,29 @@ let commit t e =
       | Some u -> u.u_comms <- (eid, t.sched.Schedule.comm_starts.(eid)) :: u.u_comms
       | None -> ());
       t.sched.Schedule.comm_starts.(eid) <- Some tau;
-      Staircase.add_from free_mu tau (-.e_size.(eid));
-      deferred_frees := (free_other, tau +. e_comm.(eid), e_size.(eid)) :: !deferred_frees
+      Staircase.add_from free_q tau (-.e_size.(eid));
+      deferred_frees := (t.free.(qj), tau +. e_comm.(eid), e_size.(eid)) :: !deferred_frees
     end
   done;
   (* Output files are held from the task start... *)
-  Staircase.add_from free_mu start (-.t.out_sizes.(i));
+  Staircase.add_from free_q start (-.t.out_sizes.(i));
   (* All allocations of this decision are now recorded but none of its
-     releases: the worst usage of the chosen memory at this instant is the
+     releases: the worst usage of the chosen pool at this instant is the
      planner's own accounting of what the heuristic needs — the quantity the
      paper normalises the memory axis by (and the one for which "MemHEFT
      with HEFT's bounds replays HEFT" holds exactly). *)
-  let cap = Platform.capacity t.platform mu in
+  let cap = Platform.pool_capacity t.platform q in
   if cap < infinity then begin
-    let used = cap -. Staircase.min_from free_mu 0. in
-    match mu with
-    | Platform.Blue -> if used > t.planned_blue then t.planned_blue <- used
-    | Platform.Red -> if used > t.planned_red then t.planned_red <- used
+    let used = cap -. Staircase.min_from free_q 0. in
+    if used > t.planned.(q) then t.planned.(q) <- used
   end;
   (* ... the source copies disappear at the transfer ends, and all input
-     files are released from this memory at the task end. *)
+     files are released from this pool at the task end. *)
   List.iter (fun (stair, time, amount) -> Staircase.add_from stair time amount) !deferred_frees;
-  Staircase.add_from free_mu eft (Dag.in_size g i);
+  Staircase.add_from free_q eft (Dag.in_size g i);
   t.aft.(i) <- eft;
   t.assigned.(i) <- true;
-  t.mem_of.(i) <- Some mu;
-  t.mem_code.(i) <- code;
+  t.pool_code.(i) <- q;
   t.assigned_count <- t.assigned_count + 1;
   ready_drop t i;
   List.iter
@@ -470,22 +450,19 @@ let uncommit t =
   | u :: rest ->
     t.trail <- rest;
     let i = u.u_task in
-    Staircase.undo_to t.free_blue u.u_mark_blue;
-    Staircase.undo_to t.free_red u.u_mark_red;
+    let q = t.pool_code.(i) in
+    Array.iteri (fun r free -> Staircase.undo_to free u.u_marks.(r)) t.free;
     t.busy.(u.u_proc) <- u.u_busy;
     t.avail.(u.u_proc) <- u.u_avail;
-    t.est_ctx.Est.min_avail_blue <- u.u_min_blue;
-    t.est_ctx.Est.min_avail_red <- u.u_min_red;
+    t.min_avail.(q) <- u.u_min_avail;
     t.sched.Schedule.starts.(i) <- u.u_start;
     t.sched.Schedule.procs.(i) <- u.u_sproc;
     List.iter (fun (eid, prev) -> t.sched.Schedule.comm_starts.(eid) <- prev) u.u_comms;
     t.aft.(i) <- u.u_aft;
     t.assigned.(i) <- false;
-    t.mem_of.(i) <- None;
-    t.mem_code.(i) <- -1;
+    t.pool_code.(i) <- -1;
     t.assigned_count <- t.assigned_count - 1;
-    t.planned_blue <- u.u_planned_blue;
-    t.planned_red <- u.u_planned_red;
+    t.planned.(q) <- u.u_planned;
     List.iter
       (fun c ->
         if t.pending_parents.(c) = 0 then ready_drop t c;
@@ -508,10 +485,10 @@ module Reference = struct
 
   (* Verbatim pre-optimisation resource_EST: rebuilds the processor list and
      refolds the availability minimum on every call. *)
-  let resource_est t mu ~lb ~w =
+  let resource_est t q ~lb ~w =
     match t.options.proc_policy with
     | Earliest_available ->
-      let procs = Platform.procs_of t.platform mu in
+      let procs = Platform.procs_of_pool t.platform q in
       let min_avail = List.fold_left (fun acc p -> Float.min acc t.avail.(p)) infinity procs in
       Float.max lb min_avail
     | Insertion ->
@@ -526,36 +503,37 @@ module Reference = struct
       List.fold_left
         (fun acc p -> Float.min acc (earliest_on p))
         infinity
-        (Platform.procs_of t.platform mu)
+        (Platform.procs_of_pool t.platform q)
 
-  let cross_edges t i mu =
+  let cross_edges t i q =
     List.filter
       (fun (e : Dag.edge) ->
-        match t.mem_of.(e.Dag.src) with Some m -> m <> mu | None -> false)
+        let qj = t.pool_code.(e.Dag.src) in
+        qj >= 0 && qj <> q)
       (Dag.pred t.g i)
 
-  let cross_summary t i mu =
+  let cross_summary t i q =
     List.fold_left
       (fun (size, cmax, min_aft) (e : Dag.edge) ->
         (size +. e.Dag.size, Float.max cmax e.Dag.comm, Float.min min_aft t.aft.(e.Dag.src)))
-      (0., 0., infinity) (cross_edges t i mu)
+      (0., 0., infinity) (cross_edges t i q)
 
-  let precedence_est t i mu =
+  let precedence_est t i q =
     List.fold_left
       (fun acc (e : Dag.edge) ->
         let j = e.Dag.src in
+        let qj = t.pool_code.(j) in
         let arrival =
-          match t.mem_of.(j) with
-          | Some m when m = mu -> t.aft.(j)
-          | Some _ -> t.aft.(j) +. e.Dag.comm
-          | None -> invalid_arg "Sched_state: parent not assigned"
+          if qj < 0 then invalid_arg "Sched_state: parent not assigned"
+          else if qj = q then t.aft.(j)
+          else t.aft.(j) +. e.Dag.comm
         in
         Float.max acc arrival)
       0. (Dag.pred t.g i)
 
-  let memory_lb t i mu =
-    let free = free_of t mu in
-    let cross_in, c_batch, min_cross_aft = cross_summary t i mu in
+  let memory_lb t i q =
+    let free = t.free.(q) in
+    let cross_in, c_batch, min_cross_aft = cross_summary t i q in
     let task_level = cross_in +. Dag.out_size t.g i in
     match Staircase.earliest_suffix_ge_scan free ~level:task_level ~from:0. with
     | None -> None
@@ -571,7 +549,7 @@ module Reference = struct
           let sorted =
             List.sort
               (fun (a : Dag.edge) (b : Dag.edge) -> Float.compare b.Dag.comm a.Dag.comm)
-              (cross_edges t i mu)
+              (cross_edges t i q)
           in
           let rec prefixes acc lb = function
             | [] -> Some lb
@@ -588,18 +566,17 @@ module Reference = struct
           | _ -> None)
       end)
 
-  let estimate t i mu =
+  let estimate t i q =
     if not (is_ready t i) then None
     else begin
-      match memory_lb t i mu with
+      match memory_lb t i q with
       | None -> None
       | Some (mem_lb, c_batch) ->
-        let lb = Float.max mem_lb (precedence_est t i mu) in
-        let w = Platform.w t.g i mu in
-        let est = resource_est t mu ~lb ~w in
-        Some { task = i; memory = mu; est; eft = est +. w; comm_batch = c_batch }
+        let lb = Float.max mem_lb (precedence_est t i q) in
+        let w = t.durations.(q).(i) in
+        let est = resource_est t q ~lb ~w in
+        Some { task = i; pool = q; est; eft = est +. w; comm_batch = c_batch }
     end
 
-  let best_estimate t i =
-    better_estimate (estimate t i Platform.Blue) (estimate t i Platform.Red)
+  let best_estimate t i = best_of (Array.init (Platform.n_pools t.platform) (estimate t i))
 end

@@ -1,8 +1,10 @@
 (** Shared machinery of the list-scheduling heuristics (§5.1).
 
     A value of type {!t} is a partial schedule together with the bookkeeping
-    the paper's memory-selection phase needs: per-memory [free_mem] staircase
-    functions, per-processor availability, and per-task finish times.
+    the paper's memory-selection phase needs: one [free_mem] staircase
+    function per memory pool, per-processor availability, and per-task
+    finish times.  Pools are numbered as in {!Platform}; the state never
+    assumes there are two.
 
     {!estimate} computes the earliest start time of a task on a memory as the
     maximum of the four components of §5.1 —
@@ -48,7 +50,12 @@ val default_options : options
 
 type t
 
-val create : ?options:options -> Dag.t -> Platform.t -> t
+val create : ?options:options -> ?durations:float array array -> Dag.t -> Platform.t -> t
+(** An empty schedule.  [durations.(q).(i)] is the processing time of task
+    [i] on pool [q] (pool-major columns); it defaults to
+    {!Est.default_durations}, the graph's blue and red times.
+    @raise Invalid_argument when the column count is not
+    [Platform.n_pools], or the columns fail {!Est.check_durations}. *)
 
 val copy : t -> t
 (** Deep copy (used by the exact branch-and-bound search). *)
@@ -82,51 +89,52 @@ val iter_ready : t -> (int -> unit) -> unit
 val finish_time : t -> int -> float
 (** [AFT(i)]; meaningful only once [i] is assigned. *)
 
-val free_mem_final : t -> Platform.memory -> float
-(** Free memory after all planned releases — capacity minus retained files. *)
+val duration : t -> int -> int -> float
+(** [duration t i q]: the processing time of task [i] on pool [q]. *)
 
-val planned_peak : t -> Platform.memory -> float
-(** The planner's own accounting of the memory the schedule needs: the
+val free_mem_final : t -> int -> float
+(** Free memory of a pool after all planned releases — capacity minus
+    retained files. *)
+
+val planned_peak : t -> int -> float
+(** The planner's own accounting of the memory a pool needs: the
     maximum, over commits, of the worst future usage right after a commit's
     allocations and before its releases.  This is at least the event-trace
     peak (files whose consumers are not yet scheduled count as retained
     forever) and is the quantity for which the paper's §6.2.1 claim —
     "MemHEFT with bounds at least what HEFT uses takes exactly the same
-    decisions as HEFT" — is a theorem.  Only tracked when the platform
-    capacities are finite ([0.] otherwise). *)
+    decisions as HEFT" — is a theorem.  Only tracked when the pool's
+    capacity is finite ([0.] otherwise). *)
 
 type estimate = Est.estimate = {
   task : int;
-  memory : Platform.memory;
+  pool : int;  (** the memory pool the estimate places the task on *)
   est : float;  (** earliest execution start time *)
-  eft : float;  (** [est + W^(mu)] *)
-  comm_batch : float;  (** [C^(mu)(i)]: max transfer time over cross parents *)
+  eft : float;  (** [est + W^(pool)] *)
+  comm_batch : float;  (** [C^(pool)(i)]: max transfer time over cross parents *)
 }
 
-val estimate : t -> int -> Platform.memory -> estimate option
-(** [None] when the task is not ready or cannot fit in the memory (the
-    paper's [EFT = +infinity] case).  Evaluated by {!Est} over the flat CSR
-    views: one allocation-free predecessor walk. *)
+val estimate : t -> int -> int -> estimate option
+(** [estimate t i q]: [None] when the task is not ready or cannot fit in
+    pool [q] (the paper's [EFT = +infinity] case).  Evaluated by {!Est}
+    over the flat CSR views: one allocation-free predecessor walk. *)
 
-val estimate_pair : t -> int -> estimate option * estimate option
-(** [(estimate t i Blue, estimate t i Red)] from a single predecessor walk —
-    bit-identical to the two separate calls at half the traversal cost.
-    [(None, None)] when the task is not ready. *)
+val estimates : t -> int -> estimate option array
+(** Every pool's {!estimate} from a single predecessor walk — bit-identical
+    to one call per pool.  All [None] when the task is not ready. *)
 
-val better_estimate : estimate option -> estimate option -> estimate option
-(** The minimum-EFT comparison used by {!best_estimate} (ties: earlier EST,
-    then the first argument).  Exposed so callers that already hold both
-    per-memory estimates (the dynamic heuristics) can derive the winner
-    without recomputing them. *)
+val best_of : estimate option array -> estimate option
+(** The minimum-EFT choice used by {!best_estimate} (ties: earlier EST, then
+    the lower pool).  Exposed so callers that already hold (or adjust) the
+    per-pool estimates derive the winner with the same comparison. *)
 
 val best_estimate : t -> int -> estimate option
-(** Minimum-EFT estimate over both memories (ties: earlier EST, then blue).
-    Equals [better_estimate (estimate t i Blue) (estimate t i Red)]. *)
+(** [best_of (estimates t i)]. *)
 
 val commit : t -> estimate -> unit
 (** Applies a decision: picks the processor minimising idle time (or the
-    best insertion slot), schedules incoming transfers, and updates both
-    memory profiles.
+    best insertion slot) in the estimate's pool, schedules incoming
+    transfers, and updates the memory profiles.
     @raise Invalid_argument if the task is already assigned or the estimate
     is stale (recompute estimates after every commit). *)
 
@@ -161,6 +169,6 @@ val snapshot_schedule : t -> Schedule.t
     them as the baseline of the perf trajectory. *)
 module Reference : sig
   val ready_tasks : t -> int list
-  val estimate : t -> int -> Platform.memory -> estimate option
+  val estimate : t -> int -> int -> estimate option
   val best_estimate : t -> int -> estimate option
 end

@@ -46,6 +46,7 @@ let status_of best_schedule capped =
    [best_bound] field the overhaul added to [result]. *)
 let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platform =
   let n = Dag.n_tasks g in
+  let pools = List.init (Platform.n_pools platform) Fun.id in
   let bottom = bottom_levels g in
   let incumbent = ref infinity in
   let best_schedule = ref None in
@@ -56,7 +57,7 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
   end;
   let nodes = ref 0 in
   let capped = ref false in
-  (* Depth-first over (ready task, memory) decisions. *)
+  (* Depth-first over (ready task, pool) decisions. *)
   let rec explore state current_max =
     if !nodes >= node_limit then capped := true
     else begin
@@ -74,13 +75,13 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
           List.concat_map
             (fun i ->
               List.filter_map
-                (fun mu ->
-                  match Sched_state.estimate state i mu with
+                (fun q ->
+                  match Sched_state.estimate state i q with
                   | Some e ->
                     let lb = Float.max current_max (e.Sched_state.est +. bottom.(i)) in
                     if lb >= !incumbent -. eps then None else Some (e, lb)
                   | None -> None)
-                Platform.memories)
+                pools)
             ready
         in
         let candidates =
@@ -93,7 +94,7 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
             if lb < !incumbent -. eps && not !capped then begin
               let child = Sched_state.copy state in
               (* Estimates are state-dependent: recompute on the copy. *)
-              match Sched_state.estimate child e.Sched_state.task e.Sched_state.memory with
+              match Sched_state.estimate child e.Sched_state.task e.Sched_state.pool with
               | Some e' ->
                 Sched_state.commit child e';
                 explore child (Float.max current_max e'.Sched_state.eft)
@@ -127,6 +128,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
     ?(seed_incumbent = true) g platform =
   if frontier < 1 then invalid_arg "Exact.solve: frontier must be >= 1";
   let n = Dag.n_tasks g in
+  let pools = List.init (Platform.n_pools platform) Fun.id in
   let bottom = bottom_levels g in
   let seed_val, seed_sched =
     if seed_incumbent then seed_heuristics g platform else (infinity, None)
@@ -223,9 +225,9 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
             let candidates =
               List.concat_map
                 (fun i ->
-                  (* Precedence-only prescreen: for either memory,
+                  (* Precedence-only prescreen: for every pool,
                      [est >= max parent AFT], so when even that cheap bound
-                     cannot beat the incumbent both per-memory estimates are
+                     cannot beat the incumbent all per-pool estimates are
                      dead on arrival — skip computing them.  The skipped
                      entries would have been dropped by the [lb] filter
                      below, so the candidate list (and hence the tree and
@@ -238,13 +240,13 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
                   if Float.max current_max (prec +. bottom.(i)) >= !inc -. eps then []
                   else
                     List.filter_map
-                      (fun mu ->
-                        match Sched_state.estimate state i mu with
+                      (fun q ->
+                        match Sched_state.estimate state i q with
                         | Some e ->
                           let lb = Float.max current_max (e.Sched_state.est +. bottom.(i)) in
                           if lb >= !inc -. eps then None else Some (e, lb)
                         | None -> None)
-                      Platform.memories)
+                      pools)
                 ready
             in
             let candidates =
@@ -320,13 +322,13 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
             List.concat_map
               (fun i ->
                 List.filter_map
-                  (fun mu ->
-                    match Sched_state.estimate state i mu with
+                  (fun q ->
+                    match Sched_state.estimate state i q with
                     | Some e ->
                       let lb = Float.max pmax (e.Sched_state.est +. bottom.(i)) in
                       if lb >= !incumbent -. eps then None else Some (e, lb)
                     | None -> None)
-                  Platform.memories)
+                  pools)
               (Sched_state.ready_tasks state)
           in
           let candidates =

@@ -12,7 +12,11 @@ let make graph ~durations =
     Array.iter
       (fun row ->
         if Array.length row <> k then invalid_arg "Mproblem.make: ragged duration matrix";
-        Array.iter (fun w -> if w < 0. then invalid_arg "Mproblem.make: negative duration") row)
+        Array.iter
+          (fun w ->
+            Fp.check_finite ~what:"Mproblem.make: duration" w;
+            if w < 0. then invalid_arg "Mproblem.make: negative duration")
+          row)
       durations
   end;
   { graph; durations }
@@ -25,8 +29,4 @@ let of_dual graph =
 
 let n_pools t = if Array.length t.durations = 0 then 1 else Array.length t.durations.(0)
 let duration t task pool = t.durations.(task).(pool)
-let w_min t task = Array.fold_left Float.min infinity t.durations.(task)
-
-let mean_duration t task =
-  let row = t.durations.(task) in
-  Array.fold_left ( +. ) 0. row /. float_of_int (Array.length row)
+let columns t = Array.init (n_pools t) (fun q -> Array.map (fun row -> row.(q)) t.durations)

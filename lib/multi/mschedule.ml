@@ -1,23 +1,10 @@
-type t = {
-  starts : float array;
-  procs : int array;
-  comm_starts : float option array;
-}
-
-let create g =
-  {
-    starts = Array.make (Dag.n_tasks g) 0.;
-    procs = Array.make (Dag.n_tasks g) 0;
-    comm_starts = Array.make (Dag.n_edges g) None;
-  }
-
-let pool_of platform s i = Mplatform.pool_of_proc platform s.procs.(i)
+let pool_of platform (s : Schedule.t) i = Platform.pool_of_proc platform s.Schedule.procs.(i)
 let duration problem platform s i = Mproblem.duration problem i (pool_of platform s i)
-let finish problem platform s i = s.starts.(i) +. duration problem platform s i
+let finish problem platform (s : Schedule.t) i = s.Schedule.starts.(i) +. duration problem platform s i
 
-let makespan problem platform s =
+let makespan problem platform (s : Schedule.t) =
   let m = ref 0. in
-  for i = 0 to Array.length s.starts - 1 do
+  for i = 0 to Array.length s.Schedule.starts - 1 do
     m := Float.max !m (finish problem platform s i)
   done;
   !m
@@ -31,20 +18,20 @@ type report = {
 
 (* Event sweep per pool; frees before allocations at equal instants, as in
    the dual-memory Events module. *)
-let usage_trace problem platform s =
+let usage_trace problem platform (s : Schedule.t) =
   let g = problem.Mproblem.graph in
-  let k = Mplatform.n_pools platform in
+  let k = Platform.n_pools platform in
   let events = ref [] in
   let push time kind pool delta = if not (Float.equal delta 0.) then events := (time, kind, pool, delta) :: !events in
   for i = 0 to Dag.n_tasks g - 1 do
     let pool = pool_of platform s i in
-    push s.starts.(i) 1 pool (Dag.out_size g i);
+    push s.Schedule.starts.(i) 1 pool (Dag.out_size g i);
     push (finish problem platform s i) 0 pool (-.Dag.in_size g i)
   done;
   Array.iter
     (fun (e : Dag.edge) ->
       if is_cut platform s e then begin
-        match s.comm_starts.(e.Dag.eid) with
+        match s.Schedule.comm_starts.(e.Dag.eid) with
         | Some tau ->
           push tau 1 (pool_of platform s e.Dag.dst) e.Dag.size;
           push (tau +. e.Dag.comm) 0 (pool_of platform s e.Dag.src) (-.e.Dag.size)
@@ -75,51 +62,51 @@ let usage_trace problem platform s =
     events;
   (peaks, min_usage, usage)
 
-let validate ?(eps = 1e-6) problem platform s =
+let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
   let g = problem.Mproblem.graph in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let name i = (Dag.task g i).Dag.name in
   for i = 0 to Dag.n_tasks g - 1 do
-    if s.procs.(i) < 0 || s.procs.(i) >= Mplatform.n_procs platform then
-      err "task %s: processor %d out of range" (name i) s.procs.(i);
-    if s.starts.(i) < -.eps then err "task %s: negative start" (name i)
+    if s.Schedule.procs.(i) < 0 || s.Schedule.procs.(i) >= Platform.n_procs platform then
+      err "task %s: processor %d out of range" (name i) s.Schedule.procs.(i);
+    if s.Schedule.starts.(i) < -.eps then err "task %s: negative start" (name i)
   done;
   if !errors <> [] then Error (List.rev !errors)
   else begin
     Array.iter
       (fun (e : Dag.edge) ->
         let cut = is_cut platform s e in
-        match (cut, s.comm_starts.(e.Dag.eid)) with
+        match (cut, s.Schedule.comm_starts.(e.Dag.eid)) with
         | true, None -> err "edge %s->%s: cut edge without a transfer" (name e.Dag.src) (name e.Dag.dst)
         | false, Some _ ->
           err "edge %s->%s: same-pool edge with a transfer" (name e.Dag.src) (name e.Dag.dst)
         | true, Some tau ->
           if finish problem platform s e.Dag.src > tau +. eps then
             err "edge %s->%s: transfer before producer finishes" (name e.Dag.src) (name e.Dag.dst);
-          if tau +. e.Dag.comm > s.starts.(e.Dag.dst) +. eps then
+          if tau +. e.Dag.comm > s.Schedule.starts.(e.Dag.dst) +. eps then
             err "edge %s->%s: transfer ends after consumer starts" (name e.Dag.src) (name e.Dag.dst)
         | false, None ->
-          if finish problem platform s e.Dag.src > s.starts.(e.Dag.dst) +. eps then
+          if finish problem platform s e.Dag.src > s.Schedule.starts.(e.Dag.dst) +. eps then
             err "edge %s->%s: consumer before producer" (name e.Dag.src) (name e.Dag.dst))
       (Dag.edges g);
     (* Resource exclusivity per processor. *)
-    for p = 0 to Mplatform.n_procs platform - 1 do
+    for p = 0 to Platform.n_procs platform - 1 do
       let tasks = ref [] in
       for i = Dag.n_tasks g - 1 downto 0 do
-        if s.procs.(i) = p then tasks := i :: !tasks
+        if s.Schedule.procs.(i) = p then tasks := i :: !tasks
       done;
       let sorted =
         List.sort
           (fun a b ->
-            let c = Float.compare s.starts.(a) s.starts.(b) in
+            let c = Float.compare s.Schedule.starts.(a) s.Schedule.starts.(b) in
             if c <> 0 then c
             else Float.compare (finish problem platform s a) (finish problem platform s b))
           !tasks
       in
       let rec check = function
         | a :: (b :: _ as rest) ->
-          if finish problem platform s a > s.starts.(b) +. eps then
+          if finish problem platform s a > s.Schedule.starts.(b) +. eps then
             err "processor %d: tasks %s and %s overlap" p (name a) (name b);
           check rest
         | _ -> ()
@@ -131,8 +118,8 @@ let validate ?(eps = 1e-6) problem platform s =
       let peaks, min_usage, _final = usage_trace problem platform s in
       Array.iteri
         (fun k peak ->
-          if peak > Mplatform.capacity platform k +. eps then
-            err "pool %d: usage %g exceeds capacity %g" k peak (Mplatform.capacity platform k);
+          if peak > Platform.pool_capacity platform k +. eps then
+            err "pool %d: usage %g exceeds capacity %g" k peak (Platform.pool_capacity platform k);
           if min_usage.(k) < -.eps then err "pool %d: negative usage (bad file lifetimes)" k)
         peaks;
       match List.rev !errors with

@@ -1,30 +1,24 @@
-(** Schedules and their validation over [k] memory pools.
+(** Validation of schedules over [k] memory pools: an oracle independent of
+    the scheduling core and of the dual-memory {!Validator}.
 
     The model generalises §3 verbatim: a transfer is needed whenever
     producer and consumer run in different pools, takes [C(i,j)] and holds
     the file in both pools while in flight; output files occupy the pool
     from the task start, input files are freed from it at the task end. *)
 
-type t = {
-  starts : float array;
-  procs : int array;
-  comm_starts : float option array;  (** per edge; [None] on same-pool edges *)
-}
-
-val create : Dag.t -> t
-val pool_of : Mplatform.t -> t -> int -> int
-val duration : Mproblem.t -> Mplatform.t -> t -> int -> float
-val finish : Mproblem.t -> Mplatform.t -> t -> int -> float
-val makespan : Mproblem.t -> Mplatform.t -> t -> float
-val is_cut : Mplatform.t -> t -> Dag.edge -> bool
+val pool_of : Platform.t -> Schedule.t -> int -> int
+val duration : Mproblem.t -> Platform.t -> Schedule.t -> int -> float
+val finish : Mproblem.t -> Platform.t -> Schedule.t -> int -> float
+val makespan : Mproblem.t -> Platform.t -> Schedule.t -> float
+val is_cut : Platform.t -> Schedule.t -> Dag.edge -> bool
 
 type report = {
   makespan : float;
   peaks : float array;  (** usage peak per pool *)
 }
 
-val validate : ?eps:float -> Mproblem.t -> Mplatform.t -> t -> (report, string list) result
+val validate : ?eps:float -> Mproblem.t -> Platform.t -> Schedule.t -> (report, string list) result
 (** Full oracle: flow, transfer bookkeeping, per-processor resource
     exclusivity, and per-pool memory capacities. *)
 
-val validate_exn : ?eps:float -> Mproblem.t -> Mplatform.t -> t -> report
+val validate_exn : ?eps:float -> Mproblem.t -> Platform.t -> Schedule.t -> report

@@ -8,7 +8,7 @@
    [None]/raise for unreleased tasks, rather than against the raw state.
 
    Release floors are folded into the estimates by lifting: a task released
-   at [r] gets [est' = max(est, r)] and [eft' = est' + W^(mu)].  Lifting a
+   at [r] gets [est' = max(est, r)] and [eft' = est' + W^(pool)].  Lifting a
    feasible estimate keeps it feasible because every component of the
    machinery is monotone in the start time — staircase feasibility is a
    suffix minimum (later suffixes have no smaller minimum), transfer windows
@@ -23,7 +23,7 @@ let algo_label = function Heft_like -> "memheft" | Minmin_like -> "memminmin"
 
 type decision = {
   d_task : int;
-  d_memory : Platform.memory;
+  d_pool : int;
   d_not_before : float;  (* the task's release time: its start-time floor *)
 }
 
@@ -37,13 +37,13 @@ type plan = {
   p_peak_red : float;
 }
 
-let lift_estimate g ~not_before (e : Sched_state.estimate) =
+let lift_estimate state ~not_before (e : Sched_state.estimate) =
   if e.Sched_state.est >= not_before then e
   else
     {
       e with
       Sched_state.est = not_before;
-      eft = not_before +. Platform.w g e.Sched_state.task e.Sched_state.memory;
+      eft = not_before +. Sched_state.duration state e.Sched_state.task e.Sched_state.pool;
     }
 
 module View = struct
@@ -95,54 +95,38 @@ module View = struct
 
   let iter_ready v f = Sched_state.iter_ready v.state (fun i -> if v.released.(i) then f i)
 
-  (* Minimum-EFT estimate over both memories with the release floor folded
-     in: each per-memory estimate is lifted, then compared — so the floor
-     can flip the winning memory when it erases one side's head start. *)
+  (* Minimum-EFT estimate over the pools with the release floor folded in:
+     each per-pool estimate is lifted, then compared — so the floor can flip
+     the winning pool when it erases another pool's head start. *)
   let best_estimate v i =
     if not v.released.(i) then None
-    else begin
-      let b, r = Sched_state.estimate_pair v.state i in
-      let lift = Option.map (lift_estimate (graph v) ~not_before:v.releases.(i)) in
-      Sched_state.better_estimate (lift b) (lift r)
-    end
+    else
+      Sched_state.best_of
+        (Array.map
+           (Option.map (lift_estimate v.state ~not_before:v.releases.(i)))
+           (Sched_state.estimates v.state i))
 
   let commit v (e : Sched_state.estimate) =
     let i = e.Sched_state.task in
     if not v.released.(i) then invalid_arg "Online.View.commit: task not released";
     Sched_state.commit v.state e;
     v.decisions <-
-      { d_task = i; d_memory = e.Sched_state.memory; d_not_before = v.releases.(i) }
+      { d_task = i; d_pool = e.Sched_state.pool; d_not_before = v.releases.(i) }
       :: v.decisions
 
-  (* Upward ranks of the released subgraph: the usual bottom-level recursion
-     with edges to unreleased children treated as absent.  The arithmetic
-     mirrors [Rank.upward_ranks] operation for operation, so with everything
-     released (Batch) the two arrays are bit-identical. *)
-  let released_ranks v =
-    let g = graph v in
-    let n = n_tasks v in
-    let rank = Array.make n 0. in
-    let topo = Dag.topological_order g in
-    let off = Dag.Csr.succ_off g and eid = Dag.Csr.succ_eid g in
-    let dst = Dag.Csr.succ_dst g in
-    let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
-    for k = n - 1 downto 0 do
-      let i = topo.(k) in
-      if v.released.(i) then begin
-        let acc = ref 0. in
-        for p = off.(i) to off.(i + 1) - 1 do
-          if v.released.(dst.(p)) then
-            acc := Float.max !acc ((Dag.edge g eid.(p)).Dag.comm /. 2. +. rank.(dst.(p)))
-        done;
-        rank.(i) <- ((wb.(i) +. wr.(i)) /. 2.) +. !acc
-      end
-    done;
-    rank
-
   (* Unassigned released tasks by non-increasing released-subgraph rank,
-     ties by id — the priority order of the epoch. *)
+     ties by id — the priority order of the epoch.  The ranks are
+     [Rank.upward_ranks] with every edge to an unreleased child weighted
+     [neg_infinity]: such an edge contributes [neg_infinity] to its parent's
+     max, and [Float.max acc neg_infinity = acc], so a released task's rank
+     sees exactly its released descendants.  With everything released
+     (Batch) the two arrays are bit-identical. *)
   let priority_order v =
-    let rank = released_ranks v in
+    let g = graph v in
+    let rank =
+      Paths.bottom_levels g ~node_weight:(Rank.node_weight g) ~edge_weight:(fun e ->
+          if v.released.(e.Dag.dst) then e.Dag.comm /. 2. else neg_infinity)
+    in
     let acc = ref [] in
     for i = n_tasks v - 1 downto 0 do
       if v.released.(i) && not (Sched_state.is_assigned v.state i) then acc := i :: !acc
@@ -257,7 +241,7 @@ let plan_of_offline ?options ~algo g platform =
         p_decisions =
           List.map
             (fun i ->
-              { d_task = i; d_memory = Schedule.memory_of platform s i; d_not_before = 0. })
+              { d_task = i; d_pool = Platform.pool_of_proc platform s.Schedule.procs.(i); d_not_before = 0. })
             (Sched_state.commit_order state);
         p_schedule = s;
         p_makespan = Schedule.makespan g platform s;

@@ -19,7 +19,7 @@ val algo_label : algo -> string
 
 type decision = {
   d_task : int;
-  d_memory : Platform.memory;
+  d_pool : int;
   d_not_before : float;  (** the task's release time: its start-time floor *)
 }
 
@@ -33,9 +33,11 @@ type plan = {
   p_peak_red : float;
 }
 
-val lift_estimate : Dag.t -> not_before:float -> Sched_state.estimate -> Sched_state.estimate
-(** [est' = max(est, not_before)], [eft' = est' + W^(mu)] (recomputed, not
-    shifted).  Feasibility is preserved — see the module preamble. *)
+val lift_estimate :
+  Sched_state.t -> not_before:float -> Sched_state.estimate -> Sched_state.estimate
+(** [est' = max(est, not_before)], [eft' = est' + W^(pool)] (recomputed from
+    the state's durations, not shifted).  Feasibility is preserved — see the
+    module preamble. *)
 
 (** The planner's window onto the scheduling state: released tasks only. *)
 module View : sig
@@ -50,8 +52,8 @@ module View : sig
   (** Released ready tasks, in the state's ready-set order. *)
 
   val best_estimate : t -> int -> Sched_state.estimate option
-  (** Minimum-EFT estimate over both memories with the release floor lifted
-      into each side before comparison.  [None] for unreleased, unready or
+  (** Minimum-EFT estimate over the pools with the release floor lifted
+      into each one before comparison.  [None] for unreleased, unready or
       memory-infeasible tasks. *)
 
   val priority_order : t -> int array

@@ -1,7 +1,7 @@
 (* Replay of a committed plan under realized (perturbed) costs.
 
    The engine re-executes the plan's decision sequence on the realized graph
-   through a fresh {!Sched_state}: same tasks, same memory choices, same
+   through a fresh {!Sched_state}: same tasks, same pool choices, same
    release floors, but every estimate recomputed from the realized costs —
    so starts, transfers and finish times shift with the noise while the
    decisions stand.  Memory caps are enforced by the estimate machinery
@@ -62,9 +62,8 @@ let repair state ~not_before =
     while (not !progress) && !k < m do
       if not taken.(!k) then begin
         let i = order.(!k) in
-        let b, r = Sched_state.estimate_pair state i in
-        let lift = Option.map (Online.lift_estimate g ~not_before:not_before.(i)) in
-        match Sched_state.better_estimate (lift b) (lift r) with
+        let lift = Option.map (Online.lift_estimate state ~not_before:not_before.(i)) in
+        match Sched_state.best_of (Array.map lift (Sched_state.estimates state i)) with
         | Some e ->
           Sched_state.commit state e;
           taken.(!k) <- true;
@@ -92,9 +91,9 @@ let run ?options ~policy (plan : Online.plan) realized platform =
     | [] -> Ok 0
     | (d : Online.decision) :: rest -> (
       let i = d.Online.d_task in
-      match Sched_state.estimate state i d.Online.d_memory with
+      match Sched_state.estimate state i d.Online.d_pool with
       | Some e ->
-        Sched_state.commit state (Online.lift_estimate realized ~not_before:not_before.(i) e);
+        Sched_state.commit state (Online.lift_estimate state ~not_before:not_before.(i) e);
         incr replayed;
         follow rest
       | None -> (

@@ -35,6 +35,7 @@ let validate ?(eps = Fp.default_eps) ?pool ?scratch g platform s =
   let n = Dag.n_tasks g and ne = Dag.n_edges g in
   let name i = (Dag.task g i).Dag.name in
   let nprocs = Platform.n_procs platform in
+  let p_blue = Platform.n_procs_of platform Platform.Blue in
   let starts = s.Schedule.starts and procs = s.Schedule.procs in
   (* Placement sanity: serial, O(n), and the gate for everything after it
      (the flat passes below index arrays by processor). *)
@@ -48,7 +49,6 @@ let validate ?(eps = Fp.default_eps) ?pool ?scratch g platform s =
   if !placement <> [] then Error (List.rev !placement)
   else begin
     let fin = Schedule.finishes g platform s in
-    let p_blue = platform.Platform.p_blue in
     let comm_starts = s.Schedule.comm_starts in
     let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g and e_comm = Dag.Csr.e_comm g in
     (* Transfer bookkeeping and flow constraints, over an edge-id range. *)

@@ -8,6 +8,10 @@ open Helpers
 let dex = Toy.dex ()
 let dex_platform ~m = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:m ~m_red:m
 
+(* The pool numbers of the dual-memory platform. *)
+let blue = 0
+let red = 1
+
 (* --------------------------------------------------------------- ranks --- *)
 
 let test_ranks_dex () =
@@ -41,8 +45,8 @@ let ranks_dominate_children =
 (* Two tasks across memories: A on blue, then estimate/commit B on red. *)
 let ab_graph () = build_dag ~tasks:[ ("A", 2., 2.); ("B", 2., 2.) ] ~edges:[ (0, 1, 3., 1.) ]
 
-let commit_on st i mu =
-  match Sched_state.estimate st i mu with
+let commit_on st i q =
+  match Sched_state.estimate st i q with
   | Some e ->
     Sched_state.commit st e;
     e
@@ -54,20 +58,20 @@ let test_estimate_cross_memory () =
   let st = Sched_state.create g p in
   check_bool "A ready" true (Sched_state.is_ready st 0);
   check_bool "B not ready" false (Sched_state.is_ready st 1);
-  let ea = commit_on st 0 Platform.Blue in
+  let ea = commit_on st 0 blue in
   check_float "A starts immediately" 0. ea.Sched_state.est;
   check_float "A finish recorded" 2. (Sched_state.finish_time st 0);
-  (match Sched_state.estimate st 1 Platform.Red with
+  (match Sched_state.estimate st 1 red with
   | Some e ->
     (* precedence: AFT(A) + C = 3; transfer occupies [2, 3). *)
     check_float "B EST across memories" 3. e.Sched_state.est;
     check_float "B EFT" 5. e.Sched_state.eft;
     check_float "comm batch" 1. e.Sched_state.comm_batch
   | None -> Alcotest.fail "feasible");
-  (match Sched_state.estimate st 1 Platform.Blue with
+  (match Sched_state.estimate st 1 blue with
   | Some e -> check_float "B EST same memory" 2. e.Sched_state.est
   | None -> Alcotest.fail "feasible");
-  let _ = commit_on st 1 Platform.Red in
+  let _ = commit_on st 1 red in
   let s = Sched_state.schedule st in
   let r = validate_ok g p s in
   check_float "makespan" 5. r.Validator.makespan;
@@ -81,10 +85,10 @@ let test_estimate_memory_infeasible () =
   (* Red memory cannot hold the 3-unit incoming file. *)
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:2. in
   let st = Sched_state.create g p in
-  let _ = commit_on st 0 Platform.Blue in
-  check_bool "red infeasible" true (Sched_state.estimate st 1 Platform.Red = None);
+  let _ = commit_on st 0 blue in
+  check_bool "red infeasible" true (Sched_state.estimate st 1 red = None);
   (match Sched_state.best_estimate st 1 with
-  | Some e -> check_bool "falls back to blue" true (e.Sched_state.memory = Platform.Blue)
+  | Some e -> check_bool "falls back to blue" true (e.Sched_state.pool = blue)
   | None -> Alcotest.fail "blue should fit")
 
 let test_estimate_output_infeasible () =
@@ -92,20 +96,20 @@ let test_estimate_output_infeasible () =
   (* A's own output (3 units) exceeds both memories: nothing is schedulable. *)
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:2. ~m_red:2. in
   let st = Sched_state.create g p in
-  check_bool "blue none" true (Sched_state.estimate st 0 Platform.Blue = None);
-  check_bool "red none" true (Sched_state.estimate st 0 Platform.Red = None)
+  check_bool "blue none" true (Sched_state.estimate st 0 blue = None);
+  check_bool "red none" true (Sched_state.estimate st 0 red = None)
 
 let test_estimate_not_ready () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  check_bool "B has unscheduled parent" true (Sched_state.estimate st 1 Platform.Blue = None)
+  check_bool "B has unscheduled parent" true (Sched_state.estimate st 1 blue = None)
 
 let test_commit_rejects_double () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  let e = Option.get (Sched_state.estimate st 0 Platform.Blue) in
+  let e = Option.get (Sched_state.estimate st 0 blue) in
   Sched_state.commit st e;
   Alcotest.check_raises "double commit"
     (Invalid_argument "Sched_state.commit: task already assigned") (fun () ->
@@ -115,23 +119,23 @@ let test_state_copy_isolated () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  let _ = commit_on st 0 Platform.Blue in
+  let _ = commit_on st 0 blue in
   let snap = Sched_state.copy st in
-  let _ = commit_on st 1 Platform.Red in
+  let _ = commit_on st 1 red in
   check_int "copy frozen" 1 (Sched_state.n_assigned snap);
   check_int "original advanced" 2 (Sched_state.n_assigned st);
   check_bool "copy can continue independently" true
-    (Sched_state.estimate snap 1 Platform.Blue <> None)
+    (Sched_state.estimate snap 1 blue <> None)
 
 let test_free_mem_final_tracks_retained () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  let _ = commit_on st 0 Platform.Blue in
+  let _ = commit_on st 0 blue in
   (* A's output file (3 units) is retained in blue until B is scheduled. *)
-  check_float "retained" 7. (Sched_state.free_mem_final st Platform.Blue);
-  let _ = commit_on st 1 Platform.Blue in
-  check_float "released" 10. (Sched_state.free_mem_final st Platform.Blue)
+  check_float "retained" 7. (Sched_state.free_mem_final st blue);
+  let _ = commit_on st 1 blue in
+  check_float "released" 10. (Sched_state.free_mem_final st blue)
 
 (* Batched vs per-edge comm_mem_EST: when the large incoming file has the
    short transfer and memory only frees up late, the paper's batched window
@@ -150,13 +154,13 @@ let test_batched_vs_per_edge () =
   let est_of options =
     let g, d, e, a, bb, x = build () in
     let st = Sched_state.create ~options g p in
-    let commit i mu = Sched_state.commit st (Option.get (Sched_state.estimate st i mu)) in
-    commit d Platform.Red;
-    commit e Platform.Red;
+    let commit i q = Sched_state.commit st (Option.get (Sched_state.estimate st i q)) in
+    commit d red;
+    commit e red;
     (* D's 8-unit file occupies red until E completes at t = 2. *)
-    commit a Platform.Blue;
-    commit bb Platform.Blue;
-    (Option.get (Sched_state.estimate st x Platform.Red)).Sched_state.est
+    commit a blue;
+    commit bb blue;
+    (Option.get (Sched_state.estimate st x red)).Sched_state.est
   in
   let per_edge = est_of Sched_state.default_options in
   let batched =

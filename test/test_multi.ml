@@ -1,12 +1,13 @@
-(* Tests for the k-memory generalisation (lib/multi) — the paper's SS 7
-   future work.  The central property: on 2-pool platforms the generalised
-   heuristics coincide with the dual-memory implementation. *)
+(* Tests for platforms with k memory pools — the paper's SS 7 future work.
+   The scheduling core runs on any pool count; Mschedule is the independent
+   k-pool validity oracle its schedules are checked against.  The central
+   properties: a 2-pool platform built pool by pool schedules exactly like
+   the dual-memory one, and 3-pool schedules pass the k-pool oracle. *)
 
 open Helpers
 
 let three_pool ?(caps = [ 20.; 20.; 20. ]) () =
-  Mplatform.make
-    (List.map (fun c -> { Mplatform.procs = 2; Mplatform.capacity = c }) caps)
+  Platform.of_pools (List.map (fun capacity -> { Platform.procs = 2; capacity }) caps)
 
 (* A 3-pool problem: durations favour a different pool per task class. *)
 let three_pool_problem seed =
@@ -18,36 +19,49 @@ let three_pool_problem seed =
   in
   Mproblem.make g ~durations
 
-(* ----------------------------------------------------------- mplatform --- *)
+let memheft problem p =
+  Heuristics.memheft ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
+
+let memminmin problem p =
+  Heuristics.memminmin ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
+
+let heft problem p = Heuristics.heft ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
+
+let raises what f =
+  check_bool what true (try ignore (f ()); false with Invalid_argument _ -> true)
+
+(* ------------------------------------------------------ k-pool platform --- *)
 
 let test_mplatform_basics () =
   let p = three_pool () in
-  check_int "pools" 3 (Mplatform.n_pools p);
-  check_int "procs" 6 (Mplatform.n_procs p);
-  check_int "pool of proc 0" 0 (Mplatform.pool_of_proc p 0);
-  check_int "pool of proc 3" 1 (Mplatform.pool_of_proc p 3);
-  check_int "pool of proc 5" 2 (Mplatform.pool_of_proc p 5);
-  Alcotest.(check (list int)) "procs of pool 1" [ 2; 3 ] (Mplatform.procs_of p 1)
+  check_int "pools" 3 (Platform.n_pools p);
+  check_int "procs" 6 (Platform.n_procs p);
+  check_int "pool of proc 0" 0 (Platform.pool_of_proc p 0);
+  check_int "pool of proc 3" 1 (Platform.pool_of_proc p 3);
+  check_int "pool of proc 5" 2 (Platform.pool_of_proc p 5);
+  Alcotest.(check (list int)) "procs of pool 1" [ 2; 3 ] (Platform.procs_of_pool p 1);
+  Alcotest.check_raises "proc out of range" (Invalid_argument "Platform.pool_of_proc: out of range")
+    (fun () -> ignore (Platform.pool_of_proc p 6))
 
 let test_mplatform_rejects () =
-  Alcotest.check_raises "empty" (Invalid_argument "Mplatform.make: at least one pool required")
-    (fun () -> ignore (Mplatform.make []));
+  Alcotest.check_raises "empty" (Invalid_argument "Platform.of_pools: at least one pool required")
+    (fun () -> ignore (Platform.of_pools []));
   Alcotest.check_raises "zero procs"
-    (Invalid_argument "Mplatform.make: processor counts must be positive") (fun () ->
-      ignore (Mplatform.make [ { Mplatform.procs = 0; Mplatform.capacity = 1. } ]))
+    (Invalid_argument "Platform.of_pools: processor counts must be positive") (fun () ->
+      ignore (Platform.of_pools [ { Platform.procs = 0; capacity = 1. } ]))
 
+(* [Platform.make] is the 2-pool platform, blue first. *)
 let test_mplatform_of_dual () =
-  let dual = Platform.make ~p_blue:3 ~p_red:2 ~m_blue:7. ~m_red:9. in
-  let p = Mplatform.of_dual dual in
-  check_int "two pools" 2 (Mplatform.n_pools p);
-  check_int "blue procs" 3 (Mplatform.pool p 0).Mplatform.procs;
-  check_float "red capacity" 9. (Mplatform.capacity p 1)
+  let p = Platform.make ~p_blue:3 ~p_red:2 ~m_blue:7. ~m_red:9. in
+  check_int "two pools" 2 (Platform.n_pools p);
+  Alcotest.(check (list int)) "blue procs" [ 0; 1; 2 ] (Platform.procs_of_pool p 0);
+  check_float "red capacity" 9. (Platform.pool_capacity p 1)
 
 let test_mplatform_with_capacities () =
-  let p = Mplatform.with_capacities (three_pool ()) [ 1.; 2.; 3. ] in
-  check_float "updated" 2. (Mplatform.capacity p 1);
-  Alcotest.check_raises "arity" (Invalid_argument "Mplatform.with_capacities: arity mismatch")
-    (fun () -> ignore (Mplatform.with_capacities p [ 1. ]))
+  let p = Platform.with_capacities (three_pool ()) [ 1.; 2.; 3. ] in
+  check_float "updated" 2. (Platform.pool_capacity p 1);
+  Alcotest.check_raises "arity" (Invalid_argument "Platform.with_capacities: arity mismatch")
+    (fun () -> ignore (Platform.with_capacities p [ 1. ]))
 
 (* ------------------------------------------------------------ mproblem --- *)
 
@@ -57,8 +71,7 @@ let test_mproblem_of_dual () =
   check_int "pools" 2 (Mproblem.n_pools p);
   check_float "T1 pool0" 3. (Mproblem.duration p 0 0);
   check_float "T1 pool1" 1. (Mproblem.duration p 0 1);
-  check_float "w_min" 1. (Mproblem.w_min p 0);
-  check_float "mean" 2. (Mproblem.mean_duration p 0)
+  Alcotest.(check (array (float 0.))) "pool 1 column" (Dag.Csr.w_red g) (Mproblem.columns p).(1)
 
 let test_mproblem_rejects () =
   let g = Toy.dex () in
@@ -72,6 +85,15 @@ let test_mproblem_rejects () =
     (try ignore (Mproblem.make g ~durations:(Array.make 4 [| -1. |])); false
      with Invalid_argument _ -> true)
 
+let test_mproblem_rejects_non_finite () =
+  let g = Toy.dex () in
+  List.iter
+    (fun w ->
+      check_bool (Printf.sprintf "%g rejected" w) true
+        (try ignore (Mproblem.make g ~durations:(Array.make 4 [| 1.; w |])); false
+         with Invalid_argument _ -> true))
+    [ nan; infinity; neg_infinity ]
+
 (* ------------------------------------------------- 2-pool = dual memory --- *)
 
 let dual_consistency =
@@ -81,21 +103,22 @@ let dual_consistency =
       let peak = Outcome.peak_max (Outcome.run Heuristics.HEFT g dual) in
       let bound = 0.8 *. peak in
       let dual_b = Platform.with_bounds dual ~m_blue:bound ~m_red:bound in
-      let multi_b = Mplatform.of_dual dual_b in
-      let problem = Mproblem.of_dual g in
-      let same_result (a : Heuristics.result) (b : Mheuristics.result) =
+      let pools_b =
+        Platform.of_pools
+          [ { Platform.procs = 2; capacity = bound }; { Platform.procs = 2; capacity = bound } ]
+      in
+      let same_result (a : Heuristics.result) (b : Heuristics.result) =
         match (a, b) with
-        | Error _, Error _ -> true
+        | Error fa, Error fb -> fa.Heuristics.n_scheduled = fb.Heuristics.n_scheduled
         | Ok sa, Ok sb ->
-          List.for_all
-            (fun i ->
-              sa.Schedule.starts.(i) = sb.Mschedule.starts.(i)
-              && sa.Schedule.procs.(i) = sb.Mschedule.procs.(i))
-            (List.init (Dag.n_tasks g) Fun.id)
+          Array.for_all2 Float.equal sa.Schedule.starts sb.Schedule.starts
+          && Array.for_all2 Int.equal sa.Schedule.procs sb.Schedule.procs
+          && Array.for_all2 (Option.equal Float.equal) sa.Schedule.comm_starts sb.Schedule.comm_starts
         | _ -> false
       in
-      same_result (Heuristics.memheft g dual_b) (Mheuristics.memheft problem multi_b)
-      && same_result (Heuristics.memminmin g dual_b) (Mheuristics.memminmin problem multi_b))
+      List.for_all
+        (fun h -> same_result (Heuristics.run h g dual_b) (Heuristics.run h g pools_b))
+        (Heuristics.all_names @ Heuristics.extension_names))
 
 (* -------------------------------------------------------------- 3 pools --- *)
 
@@ -108,13 +131,13 @@ let three_pool_validity =
           match run problem p with
           | Ok s -> Result.is_ok (Mschedule.validate problem p s)
           | Error _ -> true)
-        [ (fun pr pl -> Mheuristics.memheft pr pl); (fun pr pl -> Mheuristics.memminmin pr pl) ])
+        [ memheft; memminmin ])
 
 let three_pool_bounds_respected =
   qtest ~count:40 "3-pool peaks within capacities" seed_arb (fun seed ->
       let problem = three_pool_problem seed in
       let p = three_pool ~caps:[ 25.; 30.; 35. ] () in
-      match Mheuristics.memheft problem p with
+      match memheft problem p with
       | Error _ -> true
       | Ok s -> (
         match Mschedule.validate problem p s with
@@ -127,23 +150,23 @@ let three_pool_bounds_respected =
 let test_three_pool_feasible_case () =
   let problem = three_pool_problem 7 in
   let p = three_pool ~caps:[ 1000.; 1000.; 1000. ] () in
-  match Mheuristics.memheft problem p with
+  match memheft problem p with
   | Ok s ->
     let r = Mschedule.validate_exn problem p s in
     check_bool "positive makespan" true (r.Mschedule.makespan > 0.)
-  | Error f -> Alcotest.failf "unexpected failure: %s" f.Mheuristics.reason
+  | Error f -> Alcotest.failf "unexpected failure: %s" f.Heuristics.reason
 
 let test_three_pool_infeasible_case () =
   let problem = three_pool_problem 7 in
   let p = three_pool ~caps:[ 1.; 1.; 1. ] () in
-  check_bool "refused" true (Result.is_error (Mheuristics.memheft problem p))
+  check_bool "refused" true (Result.is_error (memheft problem p))
 
 let test_heft_unbounded () =
   let problem = three_pool_problem 3 in
   let p = three_pool ~caps:[ 1.; 1.; 1. ] () in
   (* the memory-oblivious wrapper ignores the (tiny) capacities *)
-  let s = Mheuristics.heft problem p in
-  let unbounded = Mplatform.with_capacities p [ infinity; infinity; infinity ] in
+  let s = heft problem p in
+  let unbounded = Platform.with_capacities p [ infinity; infinity; infinity ] in
   ignore (Mschedule.validate_exn problem unbounded s)
 
 let test_more_pools_help () =
@@ -154,28 +177,63 @@ let test_more_pools_help () =
   let g = Toy.independent ~n:8 ~w_blue:8. ~w_red:8. in
   let durations = Array.init 8 (fun _ -> [| 8.; 8.; 1. |]) in
   let problem3 = Mproblem.make g ~durations in
-  let p3 =
-    Mplatform.make
-      [ { Mplatform.procs = 1; Mplatform.capacity = infinity };
-        { Mplatform.procs = 1; Mplatform.capacity = infinity };
-        { Mplatform.procs = 1; Mplatform.capacity = infinity } ]
-  in
-  let s3 = Mheuristics.heft problem3 p3 in
-  let m3 = Mschedule.makespan problem3 p3 s3 in
+  let p3 = Platform.of_pools (List.init 3 (fun _ -> { Platform.procs = 1; capacity = infinity })) in
+  let m3 = Mschedule.makespan problem3 p3 (heft problem3 p3) in
   let problem2 = Mproblem.of_dual g in
-  let p2 = Mplatform.of_dual (Platform.unbounded ~p_blue:1 ~p_red:1) in
-  let s2 = Mheuristics.heft problem2 p2 in
-  let m2 = Mschedule.makespan problem2 p2 s2 in
+  let p2 = Platform.unbounded ~p_blue:1 ~p_red:1 in
+  let m2 = Mschedule.makespan problem2 p2 (heft problem2 p2) in
   check_bool "fast third pool helps" true (m3 < m2)
+
+(* The core takes the pool count from the platform and the durations from
+   their columns: the two must agree. *)
+let test_durations_must_match_pools () =
+  let problem = three_pool_problem 3 in
+  let g = problem.Mproblem.graph in
+  raises "dual durations on 3 pools" (fun () -> Heuristics.memheft g (three_pool ()));
+  raises "3 columns on 2 pools" (fun () ->
+      Heuristics.memheft ~durations:(Mproblem.columns problem) g
+        (Platform.unbounded ~p_blue:1 ~p_red:1))
+
+(* Raw columns that bypass Mproblem get the builder's checks at the core's
+   door: a NaN would otherwise lose every EFT comparison silently. *)
+let test_raw_columns_rejected () =
+  let problem = three_pool_problem 3 in
+  let g = problem.Mproblem.graph in
+  List.iter
+    (fun w ->
+      let durations = Mproblem.columns problem in
+      durations.(1).(0) <- w;
+      let what = Printf.sprintf "duration %h" w in
+      raises ("memheft " ^ what) (fun () -> Heuristics.memheft ~durations g (three_pool ()));
+      raises ("memminmin " ^ what) (fun () -> Heuristics.memminmin ~durations g (three_pool ()));
+      raises ("ranks " ^ what) (fun () -> Rank.upward_ranks ~durations g))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
 
 (* ------------------------------------------------------------ validator --- *)
 
 let test_mvalidate_rejects () =
   let problem = Mproblem.of_dual (Toy.dex ()) in
-  let p = Mplatform.of_dual (Platform.make ~p_blue:1 ~p_red:1 ~m_blue:5. ~m_red:5.) in
-  let s = Mschedule.create (Toy.dex ()) in
+  let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:5. ~m_red:5. in
+  let s = Schedule.create (Toy.dex ()) in
   (* all tasks at time 0 on proc 0: precedence + overlap violations *)
   check_bool "rejected" true (Result.is_error (Mschedule.validate problem p s))
+
+(* ---------------------------------------------------- dual-only layers --- *)
+
+(* The blue/red layers must refuse a 3-pool platform loudly rather than drop
+   pool 2. *)
+let test_dual_layers_refuse_three_pools () =
+  let problem = three_pool_problem 5 in
+  let g = problem.Mproblem.graph in
+  let p = three_pool ~caps:[ 1000.; 1000.; 1000. ] () in
+  let s = Result.get_ok (memheft problem p) in
+  raises "Validator.validate" (fun () -> Validator.validate g p s);
+  raises "Events.memory_trace" (fun () -> Events.memory_trace g p s);
+  raises "Wire request encoding" (fun () ->
+      Wire.encode_message
+        (Wire.Request
+           { Wire.id = 1L; algo = Wire.Heuristic Heuristics.MemHEFT; seed = 0L; restarts = 0;
+             node_limit = 0; platform = p; dag = g }))
 
 let () =
   Alcotest.run "multi"
@@ -186,7 +244,8 @@ let () =
           Alcotest.test_case "with_capacities" `Quick test_mplatform_with_capacities ] );
       ( "mproblem",
         [ Alcotest.test_case "of_dual" `Quick test_mproblem_of_dual;
-          Alcotest.test_case "rejects" `Quick test_mproblem_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_mproblem_rejects;
+          Alcotest.test_case "rejects non-finite durations" `Quick test_mproblem_rejects_non_finite ] );
       ("consistency", [ dual_consistency ]);
       ( "three-pools",
         [ three_pool_validity;
@@ -194,5 +253,9 @@ let () =
           Alcotest.test_case "feasible case" `Quick test_three_pool_feasible_case;
           Alcotest.test_case "infeasible case" `Quick test_three_pool_infeasible_case;
           Alcotest.test_case "oblivious wrapper" `Quick test_heft_unbounded;
-          Alcotest.test_case "fast third pool helps" `Quick test_more_pools_help ] );
-      ("validator", [ Alcotest.test_case "rejects" `Quick test_mvalidate_rejects ]) ]
+          Alcotest.test_case "fast third pool helps" `Quick test_more_pools_help;
+          Alcotest.test_case "durations match pools" `Quick test_durations_must_match_pools;
+          Alcotest.test_case "raw columns rejected" `Quick test_raw_columns_rejected ] );
+      ("validator", [ Alcotest.test_case "rejects" `Quick test_mvalidate_rejects ]);
+      ( "dual-views",
+        [ Alcotest.test_case "refuse a 3-pool platform" `Quick test_dual_layers_refuse_three_pools ] ) ]

@@ -1,4 +1,4 @@
-(* Tests for the dual-memory platform model. *)
+(* Tests for the platform model: k memory pools and the dual-memory views. *)
 
 open Helpers
 
@@ -50,6 +50,26 @@ let test_w () =
   check_float "T1 blue" 3. (Platform.w g 0 Platform.Blue);
   check_float "T1 red" 1. (Platform.w g 0 Platform.Red)
 
+(* [nan < 0.] is false: the sign check alone would let a NaN capacity in. *)
+let test_of_pools_rejects_nan () =
+  Alcotest.check_raises "NaN capacity"
+    (Invalid_argument "Platform.of_pools: memory capacity: NaN") (fun () ->
+      ignore
+        (Platform.of_pools
+           [ { Platform.procs = 1; capacity = 1. }; { Platform.procs = 1; capacity = nan } ]))
+
+let test_dual_views_need_two_pools () =
+  let three = Platform.of_pools (List.init 3 (fun _ -> { Platform.procs = 1; capacity = 5. })) in
+  let raises what f =
+    check_bool what true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  raises "capacity" (fun () -> Platform.capacity three Platform.Red);
+  raises "n_procs_of" (fun () -> Platform.n_procs_of three Platform.Blue);
+  raises "procs_of" (fun () -> Platform.procs_of three Platform.Blue);
+  raises "memory_of_proc" (fun () -> Platform.memory_of_proc three 0);
+  raises "with_bounds" (fun () -> Platform.with_bounds three ~m_blue:1. ~m_red:1.);
+  check_int "pool views still work" 3 (Platform.n_procs three)
+
 let () =
   Alcotest.run "platform"
     [ ( "platform",
@@ -60,4 +80,6 @@ let () =
           Alcotest.test_case "procs_of" `Quick test_procs_of;
           Alcotest.test_case "other" `Quick test_other;
           Alcotest.test_case "with_bounds" `Quick test_with_bounds;
-          Alcotest.test_case "task durations" `Quick test_w ] ) ]
+          Alcotest.test_case "task durations" `Quick test_w;
+          Alcotest.test_case "of_pools rejects NaN" `Quick test_of_pools_rejects_nan;
+          Alcotest.test_case "dual views need two pools" `Quick test_dual_views_need_two_pools ] ) ]

@@ -1,6 +1,6 @@
 TMP ?= /tmp/memsched-verify
 
-.PHONY: all build test lint lint-json lint-debt bench bench-smoke bench-hotpath-smoke bench-sim bench-sim-smoke bench-exact bench-exact-smoke bench-serve bench-online-smoke bench-lint bench-lint-smoke serve-smoke online-smoke fuzz-smoke verify clean
+.PHONY: all build test lint lint-json lint-debt bench bench-pipeline-smoke bench-exact bench-exact-smoke bench-online-smoke bench-lint bench-lint-smoke serve-smoke online-smoke fuzz-smoke verify clean
 
 all: build
 
@@ -32,40 +32,16 @@ lint-debt: build
 bench:
 	dune exec bench/main.exe
 
-# Smoke run of the bench harness at quick scale: the campaign/hotpath
-# section must produce a well-formed results/BENCH_hotpath.json.
-bench-smoke: build
-	dune exec bench/main.exe -- --quick --skip-figures
-	test -s results/BENCH_hotpath.json
-	jq -e '.bench == "hotpath" and (.entries | length > 0)' results/BENCH_hotpath.json > /dev/null
-	@echo "bench-smoke OK"
-
-# Hot-path smoke at quick scale: the campaign/hotpath section alone,
-# including the 10^5-task LU row — the flat CSR core must schedule it in
-# single-digit seconds (opt_ms < 10000) and the small optimised-vs-reference
-# A/B rows must still be present.
-bench-hotpath-smoke: build
-	dune exec bench/main.exe -- --quick --skip-figures --only-hotpath
-	test -s results/BENCH_hotpath.json
-	jq -e '.bench == "hotpath" and ([.entries[] | select(.n_tasks >= 100000 and .opt_ms < 10000)] | length > 0) and ([.entries[] | select(.ref_ms != null)] | length > 0) and ([.entries[] | select(.ref_ms == null) | .ref == "skipped"] | all)' results/BENCH_hotpath.json > /dev/null
-	@echo "bench-hotpath-smoke OK"
-
-# Verification-pipeline bench (campaign/sim): flat validate/trace/stats vs
-# the verbatim *_reference pipeline (bit-identity asserted on every A/B
-# row), the sharded validator's --jobs byte-identity, and the 10^6-task LU
-# row.  Writes results/BENCH_sim.json.
-bench-sim: build
-	dune exec bench/main.exe -- --only-sim
-
-# Sim smoke at quick scale: the 10^6-task row must complete its whole
-# verification pass (validate + trace + stats) in single-digit seconds, the
-# A/B and --jobs rows must all report bit-identical results, and any row
-# without a reference leg must say so explicitly.
-bench-sim-smoke: build
-	dune exec bench/main.exe -- --quick --only-sim
-	test -s results/BENCH_sim.json
-	jq -e '.bench == "sim" and ([.entries[] | select(.n_tasks >= 1000000 and (.validate_ms + .trace_ms + .stats_ms) < 10000)] | length > 0) and ([.entries[] | select(.identical != null) | .identical] | all) and ([.entries[] | select(.ref_ms == null and .section != "jobs") | .ref == "skipped"] | all)' results/BENCH_sim.json > /dev/null
-	@echo "bench-sim-smoke OK"
+# Smoke run of the pipeline benchmark (bench/pipeline, the BENCHMARK.json
+# command) on the 1,005,720-task LU workload with the traced phase on: every
+# correctness check must pass with no failed op, the 10^6-task verification
+# pass (validate + trace + stats) must take under 10 s, and MemHEFT must
+# plan at under 10^5 ns per task (10^5 tasks in 10 s).
+bench-pipeline-smoke: build
+	mkdir -p $(TMP)
+	bash bench/pipeline/run.sh --workload lu-big --seed 1 --trace 1 > $(TMP)/pipeline_lu_big.out
+	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5' > /dev/null
+	@echo "bench-pipeline-smoke OK"
 
 # Exact-baseline bench (campaign/exact): node throughput of the commit/undo
 # branch-and-bound vs the per-node-copy reference, warm vs cold node LPs,
@@ -78,16 +54,6 @@ bench-exact-smoke: build
 	test -s results/BENCH_exact.json
 	jq -e '.bench == "exact" and (.entries | length > 0) and ([.entries[] | select(.section == "jobs") | .identical] | all)' results/BENCH_exact.json > /dev/null
 	@echo "bench-exact-smoke OK"
-
-# Daemon bench (campaign/serve): burst throughput and completion latency of
-# the scheduling daemon at --jobs 1/2/8, cold vs warm result cache.  Writes
-# results/BENCH_serve.json; every row must report a byte-identical response
-# stream and a fully-cached warm pass.
-bench-serve: build
-	dune exec bench/main.exe -- --only-serve
-	test -s results/BENCH_serve.json
-	jq -e '.bench == "serve" and (.entries | length > 0) and ([.entries[] | .identical] | all) and ([.entries[] | select(.phase == "warm") | .computed == 0] | all)' results/BENCH_serve.json > /dev/null
-	@echo "bench-serve OK"
 
 # End-to-end smoke of the scheduling daemon: a fixed-seed DAG through every
 # algorithm selector, piped through `serve` at --jobs 1 and 2 — the response
@@ -163,7 +129,7 @@ fuzz-smoke: build
 # Tier-1 verification plus a smoke run of the parallel runtime: the CLI is
 # driven end-to-end with --jobs 2 (multistart over the domain pool, then a
 # figure regeneration), so the parallel path is exercised on every run.
-verify: build lint test bench-smoke bench-hotpath-smoke bench-sim-smoke bench-exact-smoke bench-online-smoke bench-lint-smoke serve-smoke online-smoke fuzz-smoke
+verify: build lint test bench-pipeline-smoke bench-exact-smoke bench-online-smoke bench-lint-smoke serve-smoke online-smoke fuzz-smoke
 	mkdir -p $(TMP)
 	dune exec bin/memsched_cli.exe -- generate daggen --size 30 --seed 2014 -o $(TMP)/dag.txt
 	dune exec bin/memsched_cli.exe -- schedule $(TMP)/dag.txt -H memheft --restarts 8 --jobs 2

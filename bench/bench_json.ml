@@ -37,7 +37,7 @@ let add_fields b fields =
       add_value b v)
     fields
 
-let write ~out_dir ~file ~bench ~scale ?(extra = []) entries =
+let write ~out_dir ~file ~bench ~scale ~extra entries =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   add_fields b ((("bench", S bench) :: ("scale", S scale) :: extra));

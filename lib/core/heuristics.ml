@@ -52,9 +52,11 @@ let memheft_run ?options ?rng ?ranks ?durations g platform =
 let memheft ?options ?rng ?ranks ?durations g platform =
   snd (memheft_run ?options ?rng ?ranks ?durations g platform)
 
-(* Algorithm 2 (MemMinMin).  Among ready tasks, schedule the one with the
-   smallest earliest finish time; ties break by task id. *)
-let memminmin_run ?options ?durations g platform =
+(* The dynamic-selection loop shared by MemMinMin and its extensions: each
+   round scores every ready task by [select] over its per-pool estimates and
+   commits the task with the highest score; on equal scores the task met
+   first in ready-set order stays. *)
+let dynamic_run ?options ?durations ~select g platform =
   let state = Sched_state.create ?options ?durations g platform in
   let n = Dag.n_tasks g in
   let rec round () =
@@ -62,14 +64,19 @@ let memminmin_run ?options ?durations g platform =
     else begin
       let best = ref None in
       Sched_state.iter_ready state (fun i ->
-          match Sched_state.best_estimate state i with
-          | Some e -> (
-            match !best with
-            | Some b when b.Sched_state.eft <= e.Sched_state.eft -> ()
-            | _ -> best := Some e)
+          (* Every pool from a single predecessor walk; the winner is
+             derived from the estimates already in hand with the exact
+             comparison best_estimate uses. *)
+          let estimates = Sched_state.estimates state i in
+          match Sched_state.best_of estimates with
+          | Some e ->
+            let score = select ~best:e ~estimates in
+            (match !best with
+            | Some (s, _) when s >= score -> ()
+            | _ -> best := Some (score, e))
           | None -> ());
       match !best with
-      | Some e ->
+      | Some (_, e) ->
         Sched_state.commit state e;
         round ()
       | None -> fail state "no ready task fits within the memory bounds"
@@ -77,14 +84,22 @@ let memminmin_run ?options ?durations g platform =
   in
   (state, round ())
 
+(* Algorithm 2 (MemMinMin).  Among ready tasks, schedule the one with the
+   smallest earliest finish time; ties break by task id.  The score is the
+   negated EFT, so [s >= score] keeps the incumbent exactly when its EFT is
+   no larger. *)
+let memminmin_run ?options ?durations g platform =
+  let select ~best ~estimates:_ = -.best.Sched_state.eft in
+  dynamic_run ?options ?durations ~select g platform
+
 let memminmin ?options ?durations g platform = snd (memminmin_run ?options ?durations g platform)
 
 (* Pre-optimisation reference runners: the exact loops shipped before the
    hot-path overhaul — full priority-list rescans over committed tasks, O(n)
    ready-set rebuilds, and [Sched_state.Reference] estimates (three
    predecessor walks, linear staircase scans).  The A/B suite asserts the
-   optimised runners above are bit-identical to these; [campaign/hotpath]
-   times them as the baseline of the perf trajectory. *)
+   optimised runners above are bit-identical to these, and the fuzzer's
+   [o_reference] oracle checks the same on every generated case. *)
 let memheft_reference ?options ?rng g platform =
   let state = Sched_state.create ?options g platform in
   let order = Rank.priority_list ?rng g in
@@ -147,34 +162,6 @@ let memminmin_reference ?options g platform =
      long tasks a head start);
    - Sufferage: schedule the task that would suffer most from not getting
      its preferred pool (largest second-best minus best EFT). *)
-let dynamic_run ?options ~select g platform =
-  let state = Sched_state.create ?options g platform in
-  let n = Dag.n_tasks g in
-  let rec round () =
-    if Sched_state.n_assigned state = n then Ok (Sched_state.schedule state)
-    else begin
-      let best = ref None in
-      Sched_state.iter_ready state (fun i ->
-          (* Every pool from a single predecessor walk; the winner is
-             derived from the estimates already in hand with the exact
-             comparison best_estimate uses. *)
-          let estimates = Sched_state.estimates state i in
-          match Sched_state.best_of estimates with
-          | Some e ->
-            let score = select ~best:e ~estimates in
-            (match !best with
-            | Some (s, _) when s >= score -> ()
-            | _ -> best := Some (score, e))
-          | None -> ());
-      match !best with
-      | Some (_, e) ->
-        Sched_state.commit state e;
-        round ()
-      | None -> fail state "no ready task fits within the memory bounds"
-    end
-  in
-  (state, round ())
-
 let memmaxmin ?options g platform =
   let select ~best ~estimates:_ = best.Sched_state.eft in
   snd (dynamic_run ?options ~select g platform)

@@ -59,8 +59,8 @@ val memheft_reference :
   ?options:Sched_state.options -> ?rng:Rng.t -> Dag.t -> Platform.t -> result
 (** Pre-optimisation MemHEFT, kept verbatim (full priority-list rescans,
     {!Sched_state.Reference} estimates, linear staircase scans).
-    Bit-identical to {!memheft} — asserted by the A/B test suite — and timed
-    by the [campaign/hotpath] bench as the perf-trajectory baseline. *)
+    Bit-identical to {!memheft}: a test and fuzz oracle, asserted by the A/B
+    test suite and the fuzzer's [o_reference] oracle. *)
 
 val memminmin_reference : ?options:Sched_state.options -> Dag.t -> Platform.t -> result
 (** Pre-optimisation MemMinMin, kept verbatim (O(n) ready-set rebuilds,

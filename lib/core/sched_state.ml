@@ -471,9 +471,9 @@ let uncommit t =
     (match t.commit_log with _ :: log -> t.commit_log <- log | [] -> ());
     ready_add t i
 
-(* Pre-optimisation reference machinery, kept verbatim for the A/B
-   bit-identity tests and the campaign/hotpath reference timings: three
-   traversals of the predecessor list per estimate and O(breakpoints)
+(* Pre-optimisation reference machinery, kept verbatim as a test and fuzz
+   oracle (the A/B bit-identity tests and the fuzzer's reference runners):
+   three traversals of the predecessor list per estimate and O(breakpoints)
    staircase scans instead of the suffix-minimum binary search. *)
 module Reference = struct
   let ready_tasks t =

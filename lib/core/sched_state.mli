@@ -164,9 +164,9 @@ val snapshot_schedule : t -> Schedule.t
 
 (** Pre-optimisation reference implementations, kept verbatim: O(n)
     ready-set rescans, three predecessor-list traversals per estimate, and
-    linear staircase scans.  The A/B test suite asserts the optimised paths
-    above are bit-identical to these; the [campaign/hotpath] bench times
-    them as the baseline of the perf trajectory. *)
+    linear staircase scans.  A test and fuzz oracle: the A/B test suite and
+    the fuzzer's [o_reference] oracle assert the optimised paths above are
+    bit-identical to these. *)
 module Reference : sig
   val ready_tasks : t -> int list
   val estimate : t -> int -> int -> estimate option

@@ -50,8 +50,8 @@ val scratch_steps : scratch -> float array * float array * float array
 
 val memory_trace_reference : Dag.t -> Platform.t -> Schedule.t -> trace
 (** The pre-flattening pipeline kept verbatim (tuple-list drain, [List.map]
-    re-box, reversed list accumulators): the A/B baseline for the parity
-    tests, the sim-parity fuzz oracle and the [campaign/sim] bench. *)
+    re-box, reversed list accumulators): a test and fuzz oracle, the A/B
+    baseline of the parity tests and the sim-parity fuzz oracle. *)
 
 val usage_at : trace -> Platform.memory -> float -> float
 (** Usage at a given instant (right-continuous step function). *)

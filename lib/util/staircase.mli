@@ -50,7 +50,7 @@ val earliest_suffix_ge : t -> level:float -> from:float -> float option
 
 val min_from_scan : t -> float -> float
 (** Pre-optimisation O(len) reference for {!min_from} — kept for the A/B
-    property tests and the [campaign/hotpath] reference scheduler. *)
+    property tests, the test and fuzz oracle for {!min_from}. *)
 
 val earliest_suffix_ge_scan : t -> level:float -> from:float -> float option
 (** Pre-optimisation O(len) reference for {!earliest_suffix_ge}. *)

@@ -395,10 +395,35 @@ let parity_fixture seed =
   | Ok s -> (g, p, s)
   | Error _ -> Alcotest.fail "memheft infeasible on an unbounded platform"
 
+(* The tiled families the parity tests also run on, once each: HEFT
+   schedules checked at HEFT's own measured peaks, so the whole pipeline
+   runs to an Ok verdict on instances of a few hundred tasks. *)
+let tiled_fixtures =
+  lazy
+    (List.map
+       (fun (family, g, platform) ->
+         let s, (pb, pr) = Heuristics.heft_measured g platform in
+         (family, (g, Platform.with_bounds platform ~m_blue:pb ~m_red:pr, s)))
+       [ ("random-300", List.hd (Workloads.large_rand_set ~count:1 ~size:300 ()),
+          Workloads.platform_random);
+         ("lu-8", Workloads.lu ~n:8 (), Workloads.platform_mirage);
+         ("cholesky-8", Workloads.cholesky ~n:8 (), Workloads.platform_mirage) ])
+
+(* [prop] on every tiled fixture, then on [count] fuzzed ones. *)
+let parity_qtest ~count name prop =
+  let label, speed, run = qtest ~count name seed_arb (fun seed -> prop (parity_fixture seed)) in
+  ( label,
+    speed,
+    fun () ->
+      List.iter
+        (fun (family, fixture) ->
+          if not (prop fixture) then Alcotest.failf "%s: fails on %s" name family)
+        (Lazy.force tiled_fixtures);
+      run () )
+
 let test_validator_parity =
-  qtest ~count:120 "flat validator equals reference (incl. corrupted schedules)" seed_arb
-    (fun seed ->
-      let g, p, s = parity_fixture seed in
+  parity_qtest ~count:120 "flat validator equals reference (incl. corrupted schedules)"
+    (fun (g, p, s) ->
       let agree s = report_equal (Validator.validate g p s) (Validator.validate_reference g p s) in
       let corrupt f =
         let s' = copy_sched s in
@@ -415,9 +440,8 @@ let test_validator_parity =
                 Array.fill s'.Schedule.comm_starts 0 (Array.length s'.Schedule.comm_starts) None)))
 
 let test_trace_parity =
-  qtest ~count:200 "flat memory trace equals reference bit-for-bit" seed_arb
-    (fun seed ->
-      let g, p, s = parity_fixture seed in
+  parity_qtest ~count:200 "flat memory trace equals reference bit-for-bit"
+    (fun (g, p, s) ->
       let a = Events.memory_trace g p s and b = Events.memory_trace_reference g p s in
       float_arrays_equal a.Events.times b.Events.times
       && float_arrays_equal a.Events.blue b.Events.blue
@@ -446,9 +470,8 @@ let stats_equal (a : Sched_stats.t) (b : Sched_stats.t) =
   && a.Sched_stats.tasks_on_red = b.Sched_stats.tasks_on_red
 
 let test_stats_parity =
-  qtest ~count:200 "flat stats equal reference on every field" seed_arb
-    (fun seed ->
-      let g, p, s = parity_fixture seed in
+  parity_qtest ~count:200 "flat stats equal reference on every field"
+    (fun (g, p, s) ->
       stats_equal (Sched_stats.compute g p s) (Sched_stats.compute_reference g p s))
 
 let test_scratch_reuse =

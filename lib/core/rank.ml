@@ -21,23 +21,25 @@ let upward_ranks ?durations g =
   Paths.bottom_levels g ~node_weight:(node_weight ?durations g)
     ~edge_weight:(fun e -> e.Dag.comm /. 2.)
 
+(* Decreasing rank, ties by jitter then id: two stable sorts from ascending
+   ids, by jitter and then by negated rank (negation reverses the order of
+   every non-NaN pair and keeps ties tied).  The order is total, so this
+   is the permutation any correct sort by (rank desc, jitter, id) gives. *)
 let priority_list ?rng ?ranks g =
   let ranks = match ranks with Some r -> r | None -> upward_ranks g in
   let n = Dag.n_tasks g in
-  let jitter =
-    match rng with
-    | Some rng -> Array.init n (fun _ -> Rng.float rng 1.)
-    | None -> Array.make n 0.
-  in
   let order = Array.init n Fun.id in
-  (* Sort by decreasing rank; ties by jitter then id for determinism. *)
-  Array.sort
-    (fun a b ->
-      let c = Float.compare ranks.(b) ranks.(a) in
-      if c <> 0 then c
-      else begin
-        let c = Float.compare jitter.(a) jitter.(b) in
-        if c <> 0 then c else compare a b
-      end)
-    order;
+  let keys = Array.create_float n in
+  let tmp_keys = Array.create_float n and tmp_vals = Array.make n 0 in
+  (match rng with
+  | Some rng ->
+    for i = 0 to n - 1 do
+      keys.(i) <- Rng.float rng 1.
+    done;
+    Radix.sort keys order ~tmp_keys ~tmp_vals n
+  | None -> ());
+  for k = 0 to n - 1 do
+    keys.(k) <- -.ranks.(order.(k))
+  done;
+  Radix.sort keys order ~tmp_keys ~tmp_vals n;
   order

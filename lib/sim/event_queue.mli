@@ -42,8 +42,11 @@ val drain : 'a t -> (float * int * 'a) list
 (** Pop everything: the full event list in deterministic order.  Allocates a
     tuple list; flat consumers use {!drain_into}.  (For a single
     generate-everything-then-drain batch with no interleaved adds, the
-    streaming merge sort inside {!Events.memory_trace} beats either drain —
-    the heap is for genuinely incremental producers.) *)
+    stable radix sort inside {!Events.memory_trace} beats either drain: it
+    writes each event to its slot in the tie order, then sorts on time
+    alone with sequential passes instead of random heap probes; its
+    order is total, so it matches this heap's pop order bit for bit.  The
+    heap is for genuinely incremental producers.) *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

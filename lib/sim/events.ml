@@ -10,192 +10,141 @@ type event = { time : float; kind : int; mem : Platform.memory; delta : float }
 (* ------------------------------------------------------------ flat path --- *)
 
 (* The flat reconstruction generates events straight into preallocated
-   parallel arrays sized from [n_tasks + 2 * n_edges] and orders them with
-   one bottom-up merge sort over those arrays instead of a heap: a
-   million-event heap drain does O(m log m) *random* probes across the slot
-   arrays (every sift level is a cache miss at this size), while merge
-   passes stream sequentially and run an order of magnitude faster.  The
-   [Event_queue] SoA heap remains the right tool for incremental
-   produce/consume interleavings (and still backs the reference pipeline
-   below); the trace's single generate-then-drain batch does not need one.
+   parallel arrays sized to the exact event count and orders them with
+   one stable radix sort on time ([Radix.sort]) instead of a heap drain.
 
-   Each event carries a packed int key [kind . (cap - seq) . mem]: key
-   ascending is exactly the heap's pop order — kind ascending, then seq
-   DESCENDING (the reverse-insertion tie rule that reproduces the
-   historical reversed-accumulator + stable-sort pipeline) — and the mem
-   bit rides along in the low bit where it can never affect the order
-   (the seq field is distinct across events).  Sorting by (time, key) is
-   therefore bit-identical to draining the queue, which is asserted
-   against [memory_trace_reference] by the A/B tests and the sim-parity
-   fuzz oracle.
+   The heap pops in (time, kind, seq descending) order: kind 0 (frees)
+   before kind 1 (allocations) at equal times, and equal (time, kind)
+   events in reverse insertion order — the tie rule that reproduces the
+   historical reversed-accumulator + stable-sort pipeline.  Generation
+   writes every event straight to its place in (kind, seq descending)
+   order: frees fill [0, n_free) from the top down, allocations fill
+   [n_free, m) from the top down.  A stable sort on time alone then leaves
+   exactly the heap's order, asserted against [memory_trace_reference] by
+   the parity tests and the sim-parity fuzz oracle.  That order is total
+   (no two events share a seq), so any correct stable sort gives the same
+   permutation, and the traces are bit-identical whichever sort runs.
 
    Generation order (and with it the seq tie-break) is exactly the
    reference's: per task, the start allocation then the finish free, tasks
    in id order; then per edge in id order, the transfer allocation then the
    transfer free.  Zero-delta events are skipped, as before. *)
 
-(* Reusable working memory: the generation triple, the merge double buffer,
-   the step accumulators and the per-task memory codes, each grown on
-   demand and retained across calls.  On large instances the fresh-page
-   cost of these buffers dominates a verification sweep; sharing one
-   scratch across validate/trace/stats makes every call after the first
-   allocate nothing but the returned trace. *)
+(* Reusable working memory, grown on demand and retained across calls.
+   Three float and two int buffers of [m] (+1) entries carry a trace
+   through its phases:
+   - [sc_times]: event times, sorted in place, then overwritten in place
+     by the step times;
+   - [sc_vals]: the sort payload, [slot lsl 1 lor mem_code];
+   - [sc_fbuf], [sc_ibuf]: the sort's working space; [sc_fbuf] then holds
+     the deltas in sorted order and is overwritten in place by the blue
+     steps;
+   - [sc_deltas]: deltas by slot, then the red steps;
+   - [sc_mem]: the per-task memory codes.
+   On large instances the fresh-page cost of these buffers dominates a
+   verification sweep; sharing one scratch across validate/trace/stats
+   makes every call after the first allocate nothing but the returned
+   trace. *)
 type scratch = {
-  mutable sc_time : float array;
-  mutable sc_key : int array;
-  mutable sc_delta : float array;
-  mutable sc_aux_time : float array;
-  mutable sc_aux_key : int array;
-  mutable sc_aux_delta : float array;
-  mutable sc_tacc : float array;
-  mutable sc_bacc : float array;
-  mutable sc_racc : float array;
+  mutable sc_times : float array;
+  mutable sc_vals : int array;
+  mutable sc_fbuf : float array;
+  mutable sc_ibuf : int array;
+  mutable sc_deltas : float array;
   mutable sc_mem : int array;
 }
 
 let scratch () =
   {
-    sc_time = [||];
-    sc_key = [||];
-    sc_delta = [||];
-    sc_aux_time = [||];
-    sc_aux_key = [||];
-    sc_aux_delta = [||];
-    sc_tacc = [||];
-    sc_bacc = [||];
-    sc_racc = [||];
+    sc_times = [||];
+    sc_vals = [||];
+    sc_fbuf = [||];
+    sc_ibuf = [||];
+    sc_deltas = [||];
     sc_mem = [||];
   }
 
-let grown_f a need = if Array.length a >= need then a else Array.make (max 1 need) 0.
+let grown_f a need = if Array.length a >= need then a else Array.create_float (max 1 need)
 let grown_i a need = if Array.length a >= need then a else Array.make (max 1 need) 0
 
-(* Bottom-up merge sort of the parallel (time, key, delta) arrays over the
-   prefix [0, m), double-buffered against the caller-supplied aux triple.
-   Returns the arrays holding the sorted prefix (either the originals or
-   the aux triple, depending on pass parity).
-
-   The "left run entry sorts no later than right run entry" test is spelled
-   out inline rather than as a helper: a function call would box its float
-   arguments on every one of the O(m log m) comparisons.  Times are ordered
-   as [Float.compare] orders them (the heap's total order — the slow path
-   only runs when the fast [<] probes say neither side is strictly smaller,
-   i.e. equal times or a -0./0. pair), then the packed key.  NaN never
-   reaches here (rejected at generation). *)
-let sort_events times keys deltas aux_t aux_k aux_d m =
-  let src_t = ref times and src_k = ref keys and src_d = ref deltas in
-  let dst_t = ref aux_t in
-  let dst_k = ref aux_k in
-  let dst_d = ref aux_d in
-  let width = ref 1 in
-  while !width < m do
-    let a_t = !src_t and a_k = !src_k and a_d = !src_d in
-    let b_t = !dst_t and b_k = !dst_k and b_d = !dst_d in
-    let lo = ref 0 in
-    while !lo < m do
-      let mid = min (!lo + !width) m in
-      let hi = min (mid + !width) m in
-      let i = ref !lo and j = ref mid and k = ref !lo in
-      while !i < mid && !j < hi do
-        let ta = a_t.(!i) and tb = a_t.(!j) in
-        let take_left =
-          if ta < tb then true
-          else if tb < ta then false
-          else begin
-            let c = Float.compare ta tb in
-            if c <> 0 then c < 0 else a_k.(!i) <= a_k.(!j)
-          end
-        in
-        if take_left then begin
-          b_t.(!k) <- a_t.(!i);
-          b_k.(!k) <- a_k.(!i);
-          b_d.(!k) <- a_d.(!i);
-          incr i
-        end
-        else begin
-          b_t.(!k) <- a_t.(!j);
-          b_k.(!k) <- a_k.(!j);
-          b_d.(!k) <- a_d.(!j);
-          incr j
-        end;
-        incr k
-      done;
-      while !i < mid do
-        b_t.(!k) <- a_t.(!i);
-        b_k.(!k) <- a_k.(!i);
-        b_d.(!k) <- a_d.(!i);
-        incr i;
-        incr k
-      done;
-      while !j < hi do
-        b_t.(!k) <- a_t.(!j);
-        b_k.(!k) <- a_k.(!j);
-        b_d.(!k) <- a_d.(!j);
-        incr j;
-        incr k
-      done;
-      lo := hi
-    done;
-    src_t := b_t;
-    src_k := b_k;
-    src_d := b_d;
-    dst_t := a_t;
-    dst_k := a_k;
-    dst_d := a_d;
-    width := 2 * !width
-  done;
-  (!src_t, !src_k, !src_d)
-
-(* Compute the trace into [sc]'s step accumulators without copying out:
-   returns the step count.  Steps [0, count) live in
-   [sc_tacc]/[sc_bacc]/[sc_racc] until the next trace over the scratch —
-   the zero-copy form behind [memory_trace], used directly by the
-   validator's memory phase and [Sched_stats.compute] so a verification
-   sweep never materialises trace arrays it is only going to fold over. *)
+(* Compute the trace into [sc]'s step buffers without copying out:
+   returns the step count.  Steps [0, count) live in the buffers
+   {!scratch_steps} returns until the next trace over the scratch — the
+   zero-copy form behind [memory_trace], used directly by the validator's
+   memory phase and [Sched_stats.compute] so a verification sweep never
+   materialises trace arrays it is only going to fold over. *)
 let memory_trace_into sc g platform s =
   let n = Dag.n_tasks g and ne = Dag.n_edges g in
-  let cap = (2 * n) + (2 * ne) in
-  (* Generation arrays indexed by generation index (== the seq counter):
-     key = [kind lsl 41  lor  (cap - seq) lsl 1  lor  mem_code] with
-     0 = blue, 1 = red.  [cap - seq] keeps the field positive and makes key
-     ascending mean seq descending; a cap at or beyond 2^40 events would
-     need terabytes of event storage, so the field cannot overflow in any
-     representable trace. *)
-  sc.sc_time <- grown_f sc.sc_time cap;
-  sc.sc_key <- grown_i sc.sc_key cap;
-  sc.sc_delta <- grown_f sc.sc_delta cap;
-  let g_time = sc.sc_time and g_key = sc.sc_key and g_delta = sc.sc_delta in
-  let next = ref 0 in
-  let push time kind mem_code delta =
-    if not (Float.equal delta 0.) then begin
-      (* Same rejection (and message) the reference path gets from
-         [Event_queue.add], so error behaviour stays bit-identical. *)
-      if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
-      g_time.(!next) <- time;
-      g_key.(!next) <- (((kind lsl 40) lor (cap - !next)) lsl 1) lor mem_code;
-      g_delta.(!next) <- delta;
-      incr next
-    end
-  in
   let starts = s.Schedule.starts and procs = s.Schedule.procs in
   let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
   let in_sz = Dag.Csr.in_sz g and out_sz = Dag.Csr.out_sz g in
-  (* Memory code per task, with the same range check [memory_of] applied. *)
+  let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g in
+  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
+  let comm_starts = s.Schedule.comm_starts in
+  (* Memory code per task (0 = blue, 1 = red), with the same range check
+     [memory_of] applies. *)
   sc.sc_mem <- grown_i sc.sc_mem n;
   let mem_code = sc.sc_mem in
   for i = 0 to n - 1 do
     mem_code.(i) <-
       (match Platform.memory_of_proc platform procs.(i) with Platform.Blue -> 0 | Platform.Red -> 1)
   done;
+  (* Count the events of each kind, so the buffers are sized exactly and
+     each event is written once, to its final (kind, seq descending) slot.
+     A cut edge without a transfer is not counted here: generation raises
+     on it, after every task event, as the reference does. *)
+  let n_free = ref 0 and n_alloc = ref 0 in
   for i = 0 to n - 1 do
-    let m = mem_code.(i) in
-    let finish = starts.(i) +. (if m = 0 then wb.(i) else wr.(i)) in
-    push starts.(i) 1 m out_sz.(i);
-    push finish 0 m (-.in_sz.(i))
+    if not (Float.equal out_sz.(i) 0.) then incr n_alloc;
+    if not (Float.equal (-.in_sz.(i)) 0.) then incr n_free
   done;
-  let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g in
-  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
-  let comm_starts = s.Schedule.comm_starts in
+  for eid = 0 to ne - 1 do
+    let cut = mem_code.(e_src.(eid)) <> mem_code.(e_dst.(eid)) in
+    match comm_starts.(eid) with
+    | Some _ when cut && not (Float.equal e_size.(eid) 0.) ->
+      incr n_alloc;
+      incr n_free
+    | _ -> ()
+  done;
+  let m = !n_free + !n_alloc in
+  (* Room for the m + 1 steps (step 0 is the empty memory at time 0). *)
+  sc.sc_times <- grown_f sc.sc_times (m + 1);
+  sc.sc_fbuf <- grown_f sc.sc_fbuf (m + 1);
+  sc.sc_deltas <- grown_f sc.sc_deltas (m + 1);
+  sc.sc_vals <- grown_i sc.sc_vals m;
+  sc.sc_ibuf <- grown_i sc.sc_ibuf m;
+  let times = sc.sc_times and vals = sc.sc_vals and deltas = sc.sc_deltas in
+  (* The next free slot of each kind, counting down. *)
+  let next_free = ref (!n_free - 1) and next_alloc = ref (m - 1) in
+  (* Inlined, so [time] and [delta] are never boxed for the call. *)
+  let[@inline] push time kind mem delta =
+    if not (Float.equal delta 0.) then begin
+      (* Same rejection (and message) the reference path gets from
+         [Event_queue.add], so error behaviour stays bit-identical. *)
+      if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
+      let slot =
+        if kind = 0 then begin
+          let k = !next_free in
+          decr next_free;
+          k
+        end
+        else begin
+          let k = !next_alloc in
+          decr next_alloc;
+          k
+        end
+      in
+      times.(slot) <- time;
+      vals.(slot) <- (slot lsl 1) lor mem;
+      deltas.(slot) <- delta
+    end
+  in
+  for i = 0 to n - 1 do
+    let mem = mem_code.(i) in
+    let finish = starts.(i) +. (if mem = 0 then wb.(i) else wr.(i)) in
+    push starts.(i) 1 mem out_sz.(i);
+    push finish 0 mem (-.in_sz.(i))
+  done;
   for eid = 0 to ne - 1 do
     let src_mem = mem_code.(e_src.(eid)) in
     if src_mem <> mem_code.(e_dst.(eid)) then begin
@@ -206,54 +155,56 @@ let memory_trace_into sc g platform s =
       | None -> invalid_arg "Events.memory_trace: cut edge without transfer"
     end
   done;
-  (* Order the events — one streaming merge sort over the flat triple... *)
-  let m = !next in
-  sc.sc_aux_time <- grown_f sc.sc_aux_time m;
-  sc.sc_aux_key <- grown_i sc.sc_aux_key m;
-  sc.sc_aux_delta <- grown_f sc.sc_aux_delta m;
-  let ord_times, ord_keys, ord_deltas =
-    sort_events g_time g_key g_delta sc.sc_aux_time sc.sc_aux_key sc.sc_aux_delta m
-  in
-  (* ... and accumulate into step arrays grown once.  Step 0 is (0., 0., 0.);
-     an event at an already-open instant overwrites the step in place, so
-     the count only moves forward — exactly the reference's flush rule. *)
-  sc.sc_tacc <- grown_f sc.sc_tacc (m + 1);
-  sc.sc_bacc <- grown_f sc.sc_bacc (m + 1);
-  sc.sc_racc <- grown_f sc.sc_racc (m + 1);
-  let t_acc = sc.sc_tacc and b_acc = sc.sc_bacc and r_acc = sc.sc_racc in
-  (* Step 0 must read (0., 0., 0.) even from a reused buffer. *)
+  (* Order the events by time; the slots already hold the tie order. *)
+  Radix.sort times vals ~tmp_keys:sc.sc_fbuf ~tmp_vals:sc.sc_ibuf m;
+  (* Deltas into sorted order; [deltas] is then free for the red steps. *)
+  let sorted_deltas = sc.sc_fbuf in
+  for k = 0 to m - 1 do
+    sorted_deltas.(k) <- deltas.(vals.(k) lsr 1)
+  done;
+  (* Accumulate into the steps.  Step 0 is (0., 0., 0.); an event at an
+     already-open instant overwrites the step in place, so the count only
+     moves forward — exactly the reference's flush rule.  Step times and
+     blue steps overwrite the event times and sorted deltas they are built
+     from: the count never passes k + 1 while event k is consumed, and event
+     k + 1 is read ahead before slot k + 1 can be written. *)
+  let t_acc = times and b_acc = sorted_deltas and r_acc = deltas in
+  let next_t = ref times.(0) and next_d = ref sorted_deltas.(0) in
   t_acc.(0) <- 0.;
   b_acc.(0) <- 0.;
   r_acc.(0) <- 0.;
-  let count = ref 1 in
+  let count = ref 1 and last_t = ref 0. in
   let cur_blue = ref 0. and cur_red = ref 0. in
   for k = 0 to m - 1 do
-    (if ord_keys.(k) land 1 = 0 then cur_blue := !cur_blue +. ord_deltas.(k)
-     else cur_red := !cur_red +. ord_deltas.(k));
-    let t = ord_times.(k) in
-    let last = !count - 1 in
-    if Float.equal t_acc.(last) t then begin
-      b_acc.(last) <- !cur_blue;
-      r_acc.(last) <- !cur_red
+    let t = !next_t and d = !next_d in
+    if k + 1 < m then begin
+      next_t := times.(k + 1);
+      next_d := sorted_deltas.(k + 1)
+    end;
+    if vals.(k) land 1 = 0 then cur_blue := !cur_blue +. d else cur_red := !cur_red +. d;
+    if Float.equal !last_t t then begin
+      b_acc.(!count - 1) <- !cur_blue;
+      r_acc.(!count - 1) <- !cur_red
     end
     else begin
       t_acc.(!count) <- t;
       b_acc.(!count) <- !cur_blue;
       r_acc.(!count) <- !cur_red;
+      last_t := t;
       incr count
     end
   done;
   !count
 
-let scratch_steps sc = (sc.sc_tacc, sc.sc_bacc, sc.sc_racc)
+let scratch_steps sc = (sc.sc_times, sc.sc_fbuf, sc.sc_deltas)
 
 let memory_trace ?scratch:sc g platform s =
   let sc = match sc with Some sc -> sc | None -> scratch () in
   let count = memory_trace_into sc g platform s in
   {
-    times = Array.sub sc.sc_tacc 0 count;
-    blue = Array.sub sc.sc_bacc 0 count;
-    red = Array.sub sc.sc_racc 0 count;
+    times = Array.sub sc.sc_times 0 count;
+    blue = Array.sub sc.sc_fbuf 0 count;
+    red = Array.sub sc.sc_deltas 0 count;
   }
 
 (* ------------------------------------------------------- reference path --- *)

@@ -15,10 +15,11 @@ type trace = {
 }
 
 type scratch
-(** Reusable working memory for {!memory_trace}: the event generation
-    triple, the merge-sort double buffer and the step accumulators, grown
-    on demand and retained across calls.  A trace over an [m]-event
-    schedule touches ~9 [m]-sized arrays; reusing one scratch across a
+(** Reusable working memory for {!memory_trace}: five buffers of one entry
+    per event (event times, sort payload, the sort's working space, the
+    deltas), which the trace then overwrites in place with its steps, plus
+    one entry per task.  They are grown on demand to the exact event count
+    and retained across calls, so reusing one scratch across a
     verification pass (validate, then trace, then stats on the same
     instance) makes every call after the first allocate nothing but the
     returned trace itself — on large instances the fresh-page cost of those
@@ -29,11 +30,17 @@ val scratch : unit -> scratch
 (** A fresh empty scratch (buffers are grown on first use). *)
 
 val memory_trace : ?scratch:scratch -> Dag.t -> Platform.t -> Schedule.t -> trace
-(** Flat reconstruction: events are generated straight into preallocated
-    parallel arrays sized from [n_tasks + 2 * n_edges] and ordered by one
-    streaming bottom-up merge sort (kind/seq/memory packed into an int key)
-    instead of a heap drain — same order, sequential access.  Bit-identical
-    to {!memory_trace_reference}. *)
+(** Flat reconstruction, bit-identical to {!memory_trace_reference}.
+    Events are written straight into their slots in the heap's tie order
+    (frees before allocations, then later-generated first) and ordered by
+    one stable sort on time ({!Radix.sort}: LSD radix from
+    {!Radix.comparison_cutoff} = 1536 events up, a merge sort below — the
+    crossover measured on [rand-sweep]-sized and daemon-sized schedules,
+    see DESIGN.md "Radix sorts").  The event order is total — the sequence number
+    breaks every tie — so any correct sort yields the same permutation,
+    and the float accumulations see the same operands in the same order.
+    The sort's arrays are typed [float array]/[int array]: a polymorphic
+    sort would box every key and delta it moves. *)
 
 val memory_trace_into : scratch -> Dag.t -> Platform.t -> Schedule.t -> int
 (** Zero-copy form of {!memory_trace}: computes the trace into the

@@ -52,9 +52,10 @@ let finishes g platform s =
   done;
   fin
 
-(* Group all tasks by processor in one counting-sort pass (O(n + p)), then
-   sort each group in place by (start, finish, id).  The id tie-break makes
-   the comparator total, which reproduces [tasks_of_proc] exactly: that path
+(* Order all tasks by (start, finish, id) with two stable sorts from
+   ascending ids — by finish, then by start — and group them by processor
+   with one stable counting-sort pass (O(n + p)).  The id tie-break makes
+   the order total, which reproduces [tasks_of_proc] exactly: that path
    stable-sorts ascending task ids by (start, finish), so fully-tied tasks
    stay in ascending-id order there too. *)
 let tasks_by_proc g platform s =
@@ -70,29 +71,21 @@ let tasks_by_proc g platform s =
   for p = 1 to nprocs do
     off.(p) <- off.(p) + off.(p - 1)
   done;
+  let by_time = Array.init n Fun.id in
+  let keys = finishes g platform s in
+  let tmp_keys = Array.create_float n and tmp_vals = Array.make n 0 in
+  Radix.sort keys by_time ~tmp_keys ~tmp_vals n;
+  for k = 0 to n - 1 do
+    keys.(k) <- s.starts.(by_time.(k))
+  done;
+  Radix.sort keys by_time ~tmp_keys ~tmp_vals n;
   let order = Array.make (max 1 n) 0 in
   let next = Array.copy off in
-  for i = 0 to n - 1 do
+  for k = 0 to n - 1 do
+    let i = by_time.(k) in
     let p = s.procs.(i) in
     order.(next.(p)) <- i;
     next.(p) <- next.(p) + 1
-  done;
-  let fin = finishes g platform s in
-  let starts = s.starts in
-  let cmp a b =
-    let c = Float.compare starts.(a) starts.(b) in
-    if c <> 0 then c
-    else
-      let c = Float.compare fin.(a) fin.(b) in
-      if c <> 0 then c else Int.compare a b
-  in
-  for p = 0 to nprocs - 1 do
-    let lo = off.(p) and hi = off.(p + 1) in
-    if hi - lo > 1 then begin
-      let seg = Array.sub order lo (hi - lo) in
-      Array.sort cmp seg;
-      Array.blit seg 0 order lo (hi - lo)
-    end
   done;
   (off, order)
 

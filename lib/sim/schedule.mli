@@ -45,8 +45,9 @@ val tasks_of_proc : Dag.t -> Platform.t -> t -> int -> int list
     use {!tasks_by_proc} instead (O(n + p) total, not O(n·p)). *)
 
 val tasks_by_proc : Dag.t -> Platform.t -> t -> int array * int array
-(** [(off, order)]: one grouped pass over all tasks — counting sort by
-    processor, then one in-place (start, finish, id) sort per group.  The
+(** [(off, order)]: all tasks stable-sorted by finish, then by start
+    ({!Radix.sort}), then grouped by a stable counting sort by processor,
+    so each group is in (start, finish, id) order.  The
     tasks of processor [p] are [order.(off.(p)) .. order.(off.(p+1) - 1)],
     in exactly the order {!tasks_of_proc} returns them (the id tie-break
     matches its stable sort, zero-duration ties included).

@@ -34,6 +34,80 @@ let test_priority_list_random_ties () =
   Alcotest.(check (list int)) "permutation" [ 0; 1; 2; 3; 4; 5 ]
     (List.sort compare (Array.to_list order))
 
+(* The priority order as one comparison sort — decreasing rank, then
+   jitter, then id — which the chain of stable sorts must reproduce. *)
+let priority_list_by_comparison ?seed g =
+  let ranks = Rank.upward_ranks g in
+  let n = Dag.n_tasks g in
+  let jitter =
+    match seed with
+    | Some seed ->
+      let rng = Rng.create seed in
+      Array.init n (fun _ -> Rng.float rng 1.)
+    | None -> Array.make n 0.
+  in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare ranks.(b) ranks.(a) in
+      if c <> 0 then c
+      else
+        let c = Float.compare jitter.(a) jitter.(b) in
+        if c <> 0 then c else Int.compare a b)
+    order;
+  order
+
+(* Above the radix cutoff: a 13.5k-task LU (many equal ranks across a
+   tile row), a 5000-task random DAG, and independent tasks whose ranks
+   all tie, so the order is the jitter's or the ids'. *)
+let large_rank_fixtures =
+  lazy
+    [ ("lu-24", Lu.generate ~n:24 ());
+      ("random-5000", List.hd (Workloads.large_rand_set ~count:1 ~size:5000 ()));
+      ("independent", Toy.independent ~n:(2 * Radix.comparison_cutoff) ~w_blue:2. ~w_red:2.) ]
+
+let test_priority_list_large () =
+  List.iter
+    (fun (family, g) ->
+      check_bool (family ^ ": above the cutoff") true (Dag.n_tasks g >= Radix.comparison_cutoff);
+      Alcotest.(check (array int))
+        (family ^ ": no rng") (priority_list_by_comparison g) (Rank.priority_list g);
+      List.iter
+        (fun seed ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: rng seed %d" family seed)
+            (priority_list_by_comparison ~seed g)
+            (Rank.priority_list ~rng:(Rng.create seed) g))
+        [ 1; 2; 3 ])
+    (Lazy.force large_rank_fixtures)
+
+(* The priority list allocates nothing per task on the minor heap beyond
+   the jitter draws themselves: a sort that went polymorphic would box
+   every key it reads. *)
+let test_priority_list_alloc_budget () =
+  let g = List.assoc "lu-24" (Lazy.force large_rank_fixtures) in
+  let ranks = Rank.upward_ranks g in
+  let n = Dag.n_tasks g in
+  let per_task f =
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let plain = per_task (fun () -> ignore (Rank.priority_list ~ranks g)) in
+  check_bool (Printf.sprintf "no rng: %.2f minor words per task <= 1" plain) true (plain <= 1.);
+  let draws =
+    per_task (fun () ->
+        let rng = Rng.create 5 and a = Array.create_float n in
+        for i = 0 to n - 1 do
+          a.(i) <- Rng.float rng 1.
+        done)
+  in
+  let jittered = per_task (fun () -> ignore (Rank.priority_list ~rng:(Rng.create 5) ~ranks g)) in
+  check_bool
+    (Printf.sprintf "rng: %.2f minor words per task <= %.2f (draws) + 1" jittered draws)
+    true
+    (jittered <= draws +. 1.)
+
 let ranks_dominate_children =
   qtest "rank(parent) > rank(child) when durations are positive" seed_arb (fun seed ->
       let g = dag_of_seed seed in
@@ -487,6 +561,9 @@ let () =
          [ Alcotest.test_case "dex values" `Quick test_ranks_dex;
            Alcotest.test_case "dex priority list" `Quick test_priority_list_dex;
            Alcotest.test_case "random tie-break" `Quick test_priority_list_random_ties;
+           Alcotest.test_case "large lists equal the comparison sort" `Quick
+             test_priority_list_large;
+           Alcotest.test_case "allocation budget" `Quick test_priority_list_alloc_budget;
            ranks_dominate_children ] );
        ( "sched_state",
          [ Alcotest.test_case "cross-memory estimate" `Quick test_estimate_cross_memory;

@@ -397,7 +397,10 @@ let parity_fixture seed =
 
 (* The tiled families the parity tests also run on, once each: HEFT
    schedules checked at HEFT's own measured peaks, so the whole pipeline
-   runs to an Ok verdict on instances of a few hundred tasks. *)
+   runs to an Ok verdict.  The first three have a few hundred tasks, so
+   every sort in them takes the comparison path; lu-24 (13,525 tasks) and
+   random-5000 are above [Radix.comparison_cutoff] in tasks and in events,
+   so they take the radix path. *)
 let tiled_fixtures =
   lazy
     (List.map
@@ -407,7 +410,35 @@ let tiled_fixtures =
        [ ("random-300", List.hd (Workloads.large_rand_set ~count:1 ~size:300 ()),
           Workloads.platform_random);
          ("lu-8", Workloads.lu ~n:8 (), Workloads.platform_mirage);
-         ("cholesky-8", Workloads.cholesky ~n:8 (), Workloads.platform_mirage) ])
+         ("cholesky-8", Workloads.cholesky ~n:8 (), Workloads.platform_mirage);
+         ("lu-24", Workloads.lu ~n:24 (), Workloads.platform_mirage);
+         ("random-5000", List.hd (Workloads.large_rand_set ~count:1 ~size:5000 ()),
+          Workloads.platform_random) ])
+
+let tiled_fixture family = List.assoc family (Lazy.force tiled_fixtures)
+
+let test_large_fixtures_take_radix () =
+  List.iter
+    (fun family ->
+      let g, p, s = tiled_fixture family in
+      let steps = Events.memory_trace_into (Events.scratch ()) g p s in
+      (* [steps] is at most the event count plus one. *)
+      check_bool (family ^ ": tasks above the cutoff") true
+        (Dag.n_tasks g >= Radix.comparison_cutoff);
+      check_bool (family ^ ": events above the cutoff") true (steps > Radix.comparison_cutoff))
+    [ "lu-24"; "random-5000" ]
+
+(* A warm-scratch trace allocates nothing per event on the minor heap: a
+   sort that went polymorphic would box every float it moves, at hundreds
+   of words per task. *)
+let test_trace_alloc_budget () =
+  let g, p, s = tiled_fixture "lu-24" in
+  let sc = Events.scratch () in
+  ignore (Events.memory_trace_into sc g p s);
+  let w0 = Gc.minor_words () in
+  ignore (Events.memory_trace_into sc g p s);
+  let per_task = (Gc.minor_words () -. w0) /. float_of_int (Dag.n_tasks g) in
+  check_bool (Printf.sprintf "%.2f minor words per task <= 40" per_task) true (per_task <= 40.)
 
 (* [prop] on every tiled fixture, then on [count] fuzzed ones. *)
 let parity_qtest ~count name prop =
@@ -508,9 +539,8 @@ let test_scratch_reuse =
       check seed && check (seed lxor 0x5bd1) && check (seed + 17))
 
 let test_tasks_by_proc_parity =
-  qtest ~count:200 "tasks_by_proc groups equal tasks_of_proc on every processor" seed_arb
-    (fun seed ->
-      let g, p, s = parity_fixture seed in
+  parity_qtest ~count:200 "tasks_by_proc groups equal tasks_of_proc on every processor"
+    (fun (g, p, s) ->
       let off, order = Schedule.tasks_by_proc g p s in
       let ok = ref (off.(0) = 0 && off.(Platform.n_procs p) = Dag.n_tasks g) in
       for q = 0 to Platform.n_procs p - 1 do
@@ -681,6 +711,9 @@ let () =
           test_stats_parity;
           test_scratch_reuse;
           test_tasks_by_proc_parity;
+          Alcotest.test_case "large fixtures take the radix path" `Quick
+            test_large_fixtures_take_radix;
+          Alcotest.test_case "warm trace allocation budget" `Quick test_trace_alloc_budget;
           Alcotest.test_case "zero-duration ties" `Quick test_tasks_by_proc_zero_duration_ties;
           Alcotest.test_case "bad processor rejected" `Quick test_tasks_by_proc_rejects_bad_proc;
           Alcotest.test_case "jobs 1/2/8 parity" `Quick test_validator_jobs_parity ] );

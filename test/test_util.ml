@@ -440,6 +440,63 @@ let test_csv_float_cell () =
   check_string "int-like" "2" (Csv.float_cell 2.);
   check_string "inf" "inf" (Csv.float_cell infinity)
 
+(* -------------------------------------------------------------- Radix --- *)
+
+(* Keys the float order gets wrong first: both zeros, negatives, the
+   infinities, subnormals, NaN — plus heavy duplicates from a small pool
+   and values across the whole exponent range. *)
+let radix_specials =
+  [| 0.; -0.; 1.; -1.; infinity; neg_infinity; 5e-324; -5e-324; Float.min_float /. 2.;
+     -.Float.min_float; Float.max_float; -.Float.max_float; nan; 0.5; 2.; 3.5 |]
+
+let radix_keys rng n =
+  let pool = Array.init (1 + Rng.int rng 8) (fun _ -> Rng.float rng 100. -. 50.) in
+  Array.init n (fun _ ->
+      match Rng.int rng 4 with
+      | 0 -> radix_specials.(Rng.int rng (Array.length radix_specials))
+      | 1 -> pool.(Rng.int rng (Array.length pool))
+      | 2 -> Rng.float rng 1e6
+      | _ -> ldexp (Rng.float rng 2. -. 1.) (Rng.int rng 2100 - 1075))
+
+(* Sizes 0 and 1, both sides of the comparison cutoff, and random ones up
+   to three times it. *)
+let radix_size rng cls =
+  let c = Radix.comparison_cutoff in
+  match cls with
+  | 0 -> 0
+  | 1 -> 1
+  | 2 -> 2
+  | 3 -> c - 1
+  | 4 -> c
+  | 5 -> c + 1
+  | 6 -> (2 * c) + 3
+  | _ -> Rng.int rng (3 * c)
+
+let radix_matches_stable_sort =
+  qtest ~count:300 "radix sort equals Array.stable_sort under Float.compare"
+    QCheck.(pair (int_range 0 9) seed_arb)
+    (fun (cls, seed) ->
+      let rng = Rng.create seed in
+      let n = radix_size rng cls in
+      let src = radix_keys rng n in
+      let expected = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> Float.compare src.(a) src.(b)) expected;
+      (* One spare entry past the prefix, which the sort must not touch. *)
+      let keys = Array.append src [| 42. |] and vals = Array.init (n + 1) Fun.id in
+      Radix.sort keys vals ~tmp_keys:(Array.make n 0.) ~tmp_vals:(Array.make n 0) n;
+      let bits x = Int64.bits_of_float x in
+      let ok = ref (Float.equal keys.(n) 42. && vals.(n) = n) in
+      for k = 0 to n - 1 do
+        if vals.(k) <> expected.(k) || not (Int64.equal (bits keys.(k)) (bits src.(expected.(k))))
+        then ok := false
+      done;
+      !ok)
+
+let test_radix_short_buffers () =
+  Alcotest.check_raises "short working space"
+    (Invalid_argument "Radix.sort: prefix longer than an array") (fun () ->
+      Radix.sort [| 2.; 1. |] [| 0; 1 |] ~tmp_keys:[| 0. |] ~tmp_vals:[| 0; 0 |] 2)
+
 (* -------------------------------------------------------------- Table --- *)
 
 let test_table_render () =
@@ -499,6 +556,9 @@ let () =
           Alcotest.test_case "custom cmp" `Quick test_pqueue_custom_cmp;
           Alcotest.test_case "no space leak" `Quick test_pqueue_no_leak;
           pqueue_sorts ] );
+      ( "radix",
+        [ radix_matches_stable_sort;
+          Alcotest.test_case "short buffers rejected" `Quick test_radix_short_buffers ] );
       ( "stats",
         [ Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;

@@ -1,6 +1,6 @@
 TMP ?= /tmp/memsched-verify
 
-.PHONY: all build test lint lint-json lint-debt bench bench-pipeline-smoke bench-exact bench-exact-smoke bench-online-smoke bench-lint bench-lint-smoke serve-smoke online-smoke fuzz-smoke verify clean
+.PHONY: all build test lint lint-json lint-debt bench-pipeline-smoke serve-smoke online-smoke fuzz-smoke verify clean
 
 all: build
 
@@ -29,9 +29,6 @@ lint-json: build
 lint-debt: build
 	dune exec bin/memsched_cli.exe -- lint --debt
 
-bench:
-	dune exec bench/main.exe
-
 # Smoke run of the pipeline benchmark (bench/pipeline, the BENCHMARK.json
 # command) on the 1,005,720-task LU workload with the traced phase on: every
 # correctness check must pass with no failed op, the 10^6-task verification
@@ -42,18 +39,6 @@ bench-pipeline-smoke: build
 	bash bench/pipeline/run.sh --workload lu-big --seed 1 --trace 1 > $(TMP)/pipeline_lu_big.out
 	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5' > /dev/null
 	@echo "bench-pipeline-smoke OK"
-
-# Exact-baseline bench (campaign/exact): node throughput of the commit/undo
-# branch-and-bound vs the per-node-copy reference, warm vs cold node LPs,
-# and the --jobs determinism sweep.  Writes results/BENCH_exact.json.
-bench-exact: build
-	dune exec bench/main.exe -- --only-exact
-
-bench-exact-smoke: build
-	dune exec bench/main.exe -- --quick --only-exact
-	test -s results/BENCH_exact.json
-	jq -e '.bench == "exact" and (.entries | length > 0) and ([.entries[] | select(.section == "jobs") | .identical] | all)' results/BENCH_exact.json > /dev/null
-	@echo "bench-exact-smoke OK"
 
 # End-to-end smoke of the scheduling daemon: a fixed-seed DAG through every
 # algorithm selector, piped through `serve` at --jobs 1 and 2 — the response
@@ -81,16 +66,6 @@ serve-smoke: build
 	dune exec bin/memsched_cli.exe -- serve-show test/golden/serve_smoke.bin > /dev/null
 	@echo "serve-smoke OK"
 
-# Online-scenario bench (campaign/online): plan under jittered arrivals,
-# replay the committed schedule over the noise-seed x policy grid at
-# --jobs 1/2/8.  Every row must report a byte-identical CSV digest, and the
-# seed-order shuffle row pins the seed-list invariance of the grid.
-bench-online-smoke: build
-	dune exec bench/main.exe -- --quick --only-online
-	test -s results/BENCH_online.json
-	jq -e '.bench == "online" and (.entries | length > 0) and ([.entries[] | .identical] | all)' results/BENCH_online.json > /dev/null
-	@echo "bench-online-smoke OK"
-
 # End-to-end smoke of the online scenario layer: a fixed-seed DAG planned
 # under jittered arrivals and replayed under 6 noise seeds with both
 # rescheduling policies, at --jobs 1 and 2 — the degradation CSVs must be
@@ -104,22 +79,6 @@ online-smoke: build
 	cmp $(TMP)/online_out1.csv test/golden/online_smoke.csv
 	@echo "online-smoke OK"
 
-# Typed-lint bench (campaign/lint): cold vs content-addressed-cache warm
-# wall-time of the interprocedural pass over the repo's own cmts, findings
-# count, and the --jobs 1/2/8 byte-identity sweep.  Writes
-# results/BENCH_lint.json; warm rows must be fully cache-served
-# (extracted = 0) and byte-identical to the cold report.
-bench-lint: build
-	dune build @check
-	dune exec bench/main.exe -- --only-lint
-
-bench-lint-smoke: build
-	dune build @check
-	dune exec bench/main.exe -- --quick --only-lint
-	test -s results/BENCH_lint.json
-	jq -e '.bench == "lint" and (.entries | length > 0) and ([.entries[] | .identical] | all) and ([.entries[] | select(.phase == "warm") | .extracted == 0] | all)' results/BENCH_lint.json > /dev/null
-	@echo "bench-lint-smoke OK"
-
 # Fixed-seed differential-fuzzing smoke run: 500 cases through the whole
 # oracle registry (lib/check), on the parallel runtime.  Any violation
 # exits non-zero and serialises the shrunk instance into test/corpus/.
@@ -129,7 +88,7 @@ fuzz-smoke: build
 # Tier-1 verification plus a smoke run of the parallel runtime: the CLI is
 # driven end-to-end with --jobs 2 (multistart over the domain pool, then a
 # figure regeneration), so the parallel path is exercised on every run.
-verify: build lint test bench-pipeline-smoke bench-exact-smoke bench-online-smoke bench-lint-smoke serve-smoke online-smoke fuzz-smoke
+verify: build lint test bench-pipeline-smoke serve-smoke online-smoke fuzz-smoke
 	mkdir -p $(TMP)
 	dune exec bin/memsched_cli.exe -- generate daggen --size 30 --seed 2014 -o $(TMP)/dag.txt
 	dune exec bin/memsched_cli.exe -- schedule $(TMP)/dag.txt -H memheft --restarts 8 --jobs 2

@@ -488,8 +488,6 @@ let extensions ?(out_dir = "results") ?(report = quiet) ?pool ?(count = 30)
   in
   print_normalized ~report ~label:"memory-aware family" ~csv:"extensions.csv" out_dir alphas series
 
-(* ------------------------------------------------------------------ suites *)
-
 (* ------------------------------------------- online degradation campaign *)
 
 let online_instances ~count =
@@ -524,34 +522,93 @@ let online_degradation ?(out_dir = "results") ?(report = quiet) ?pool ?(count = 
   write_csv out_dir "online_degradation.csv" Scenario.csv_header
     (List.map (Scenario.csv_row cfg) rows)
 
-let all_quick ?(out_dir = "results") ?(report = quiet) ?pool () =
-  table1 ~out_dir ~report ?pool ();
-  figure8 ~out_dir ~report ();
-  figure9 ~out_dir ~report ~size:300 ();
-  figure10 ~out_dir ~report ?pool ~count:15 ~exact_nodes:5_000 ~capped_count:5 ~tiny_count:10 ();
-  figure11 ~out_dir ~report ?pool ();
-  figure12 ~out_dir ~report ?pool ~count:10 ~size:300 ();
-  figure13 ~out_dir ~report ?pool ~size:300 ();
-  figure14 ~out_dir ~report ?pool ~n:8 ();
-  figure15 ~out_dir ~report ?pool ~n:8 ();
-  ilp_cross_check ~out_dir ~report ?pool ~node_limit:5_000 ();
-  ablations ~out_dir ~report ?pool ~count:10 ();
-  extensions ~out_dir ~report ?pool ~count:10 ();
-  online_degradation ~out_dir ~report ?pool ~count:4 ~seeds:4 ();
-  Plots.write_gnuplot ~out_dir ()
+(* --------------------------------------------------- the scale table --- *)
 
-let all_paper ?(out_dir = "results") ?(report = quiet) ?pool () =
-  table1 ~out_dir ~report ?pool ();
-  figure8 ~out_dir ~report ();
-  figure9 ~out_dir ~report ();
-  figure10 ~out_dir ~report ?pool ();
-  figure11 ~out_dir ~report ?pool ();
-  figure12 ~out_dir ~report ?pool ();
-  figure13 ~out_dir ~report ?pool ();
-  figure14 ~out_dir ~report ?pool ();
-  figure15 ~out_dir ~report ?pool ();
-  ilp_cross_check ~out_dir ~report ?pool ();
-  ablations ~out_dir ~report ?pool ();
-  extensions ~out_dir ~report ?pool ~count:50 ();
-  online_degradation ~out_dir ~report ?pool ();
+type scale = Quick | Default | Paper
+
+type artefact =
+  | Table1
+  | Figure8
+  | Figure9
+  | Figure10
+  | Figure11
+  | Figure12
+  | Figure13
+  | Figure14
+  | Figure15
+  | Ilp
+  | Ablations
+  | Extensions
+  | Online
+
+let scales = [ ("quick", Quick); ("default", Default); ("paper", Paper) ]
+
+let artefacts =
+  [ ("table1", Table1); ("figure8", Figure8); ("figure9", Figure9); ("figure10", Figure10);
+    ("figure11", Figure11); ("figure12", Figure12); ("figure13", Figure13);
+    ("figure14", Figure14); ("figure15", Figure15); ("ilp", Ilp); ("ablations", Ablations);
+    ("extensions", Extensions); ("online", Online) ]
+
+(* The only place that says which artefact runs at which size: one row per
+   (scale, artefact), in the order [all] runs them.  A driver's own optional
+   defaults are the paper's sizes, so the Paper rows mostly pass nothing. *)
+let rows ~out_dir ~report ?pool = function
+  | Quick ->
+    [ (Table1, fun () -> table1 ~out_dir ~report ?pool ());
+      (Figure8, fun () -> figure8 ~out_dir ~report ());
+      (Figure9, fun () -> figure9 ~out_dir ~report ~size:300 ());
+      (Figure10, fun () ->
+        figure10 ~out_dir ~report ?pool ~count:15 ~exact_nodes:5_000 ~capped_count:5
+          ~tiny_count:10 ());
+      (Figure11, fun () -> figure11 ~out_dir ~report ?pool ());
+      (Figure12, fun () -> figure12 ~out_dir ~report ?pool ~count:10 ~size:300 ());
+      (Figure13, fun () -> figure13 ~out_dir ~report ?pool ~size:300 ());
+      (Figure14, fun () -> figure14 ~out_dir ~report ?pool ~n:8 ());
+      (Figure15, fun () -> figure15 ~out_dir ~report ?pool ~n:8 ());
+      (Ilp, fun () -> ilp_cross_check ~out_dir ~report ?pool ~node_limit:5_000 ());
+      (Ablations, fun () -> ablations ~out_dir ~report ?pool ~count:10 ());
+      (Extensions, fun () -> extensions ~out_dir ~report ?pool ~count:10 ());
+      (Online, fun () -> online_degradation ~out_dir ~report ?pool ~count:4 ~seeds:4 ()) ]
+  | Default ->
+    [ (Table1, fun () -> table1 ~out_dir ~report ?pool ());
+      (Figure8, fun () -> figure8 ~out_dir ~report ());
+      (Figure9, fun () -> figure9 ~out_dir ~report ());
+      (Figure10, fun () ->
+        figure10 ~out_dir ~report ?pool ~count:50 ~exact_nodes:10_000 ~capped_count:15
+          ~tiny_count:20 ());
+      (Figure11, fun () -> figure11 ~out_dir ~report ?pool ());
+      (Figure12, fun () -> figure12 ~out_dir ~report ?pool ~count:30 ~size:1000 ());
+      (Figure13, fun () -> figure13 ~out_dir ~report ?pool ());
+      (Figure14, fun () -> figure14 ~out_dir ~report ?pool ~n:13 ());
+      (Figure15, fun () -> figure15 ~out_dir ~report ?pool ~n:13 ());
+      (Ilp, fun () -> ilp_cross_check ~out_dir ~report ?pool ~node_limit:20_000 ());
+      (Ablations, fun () -> ablations ~out_dir ~report ?pool ~count:20 ());
+      (Extensions, fun () -> extensions ~out_dir ~report ?pool ~count:20 ()) ]
+  | Paper ->
+    [ (Table1, fun () -> table1 ~out_dir ~report ?pool ());
+      (Figure8, fun () -> figure8 ~out_dir ~report ());
+      (Figure9, fun () -> figure9 ~out_dir ~report ());
+      (Figure10, fun () -> figure10 ~out_dir ~report ?pool ());
+      (Figure11, fun () -> figure11 ~out_dir ~report ?pool ());
+      (Figure12, fun () -> figure12 ~out_dir ~report ?pool ());
+      (Figure13, fun () -> figure13 ~out_dir ~report ?pool ());
+      (Figure14, fun () -> figure14 ~out_dir ~report ?pool ());
+      (Figure15, fun () -> figure15 ~out_dir ~report ?pool ());
+      (Ilp, fun () -> ilp_cross_check ~out_dir ~report ?pool ());
+      (Ablations, fun () -> ablations ~out_dir ~report ?pool ());
+      (Extensions, fun () -> extensions ~out_dir ~report ?pool ~count:50 ());
+      (Online, fun () -> online_degradation ~out_dir ~report ?pool ()) ]
+
+let run ?(out_dir = "results") ?(report = quiet) ?pool scale artefact =
+  match List.assoc_opt artefact (rows ~out_dir ~report ?pool scale) with
+  | Some step ->
+    step ();
+    Ok ()
+  | None ->
+    let name table v = fst (List.find (fun (_, x) -> x = v) table) in
+    Error
+      (Printf.sprintf "%s has no %s-scale row" (name artefacts artefact) (name scales scale))
+
+let all ?(out_dir = "results") ?(report = quiet) ?pool scale =
+  List.iter (fun (_, step) -> step ()) (rows ~out_dir ~report ?pool scale);
   Plots.write_gnuplot ~out_dir ()

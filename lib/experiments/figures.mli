@@ -1,9 +1,10 @@
-(** One driver per table/figure of the paper's evaluation (§6).  Each driver
-    sends a human-readable table to the caller-supplied [?report] sink
-    (default: discard) and writes a CSV under [out_dir] (default
-    ["results"]).  [bin/] passes a printing reporter; the library itself
-    never writes to stdout.  See EXPERIMENTS.md for the paper-vs-measured
-    record.
+(** One driver per table/figure of the paper's evaluation (§6), and the one
+    table ({!run}, {!all}) that says which of them runs at which scale.
+    Each driver sends a human-readable table to the caller-supplied
+    [?report] sink (default: discard) and writes a CSV under [out_dir]
+    (default ["results"]); its optional arguments default to the paper's
+    sizes.  [bin/] passes a printing reporter; the library itself never
+    writes to stdout.  See EXPERIMENTS.md for the paper-vs-measured record.
 
     Campaign drivers accept an optional shared {!Par.t} pool ([?pool]) and
     fan the measurement grid out over it.  The determinism contract of
@@ -130,8 +131,46 @@ val online_degradation :
     realized-over-planned makespan and peak-memory ratios per rescheduling
     policy.  Writes [online_degradation.csv]. *)
 
-val all_quick : ?out_dir:string -> ?report:(string -> unit) -> ?pool:Par.t -> unit -> unit
-(** Every section at a scale that finishes in a few minutes. *)
+(** {1 The scale table}
 
-val all_paper : ?out_dir:string -> ?report:(string -> unit) -> ?pool:Par.t -> unit -> unit
-(** Every section at the paper's full scale (50x30, 100x1000, 13x13). *)
+    Which artefact runs at which size is decided in one table, so a single
+    artefact and [all] at the same scale always run the same arguments. *)
+
+type scale =
+  | Quick  (** every artefact in well under a minute *)
+  | Default  (** the sizes EXPERIMENTS.md quotes (50x30, 30x1000, 13x13); no online campaign *)
+  | Paper  (** the paper's full campaign (50x30, 100x1000, 13x13) *)
+
+type artefact =
+  | Table1
+  | Figure8
+  | Figure9
+  | Figure10
+  | Figure11
+  | Figure12
+  | Figure13
+  | Figure14
+  | Figure15
+  | Ilp
+  | Ablations
+  | Extensions
+  | Online
+
+val scales : (string * scale) list
+(** Command-line names of the scales. *)
+
+val artefacts : (string * artefact) list
+(** Command-line names of the artefacts, in the order {!all} runs them. *)
+
+val run :
+  ?out_dir:string ->
+  ?report:(string -> unit) ->
+  ?pool:Par.t ->
+  scale ->
+  artefact ->
+  (unit, string) result
+(** Runs one artefact with its row of the table.  [Error] when the scale
+    has no row for it ([Online] at [Default]). *)
+
+val all : ?out_dir:string -> ?report:(string -> unit) -> ?pool:Par.t -> scale -> unit
+(** Runs every row of the scale, in table order, then writes [plots.gp]. *)

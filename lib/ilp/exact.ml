@@ -37,8 +37,8 @@ let status_of best_schedule capped =
   | None, true -> Unknown
 
 (* Pre-overhaul copy-based search, kept verbatim as the A/B reference (the
-   qtests assert the undo-based solver visits the same tree node for node, and
-   the campaign/exact bench times this as the throughput baseline).  The only
+   qtests assert the undo-based solver visits the same tree node for node and
+   agrees with the dominance/frontier solver whenever both certify).  The only
    edits relative to the original are the float-discipline fixes the lint
    cannot see syntactically ([Float.compare] on the [eft] record fields,
    [Option.is_none] instead of polymorphic [= None]) — both are

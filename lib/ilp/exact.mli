@@ -25,7 +25,7 @@
     count and workers never share incumbents, so statuses, makespans,
     schedules and node counts are identical for every [--jobs] value.
     {!solve_reference} is the pre-overhaul copy-based search, kept verbatim
-    for A/B tests and the [campaign/exact] bench baseline. *)
+    as the reference the A/B tests compare against. *)
 
 type status =
   | Proven_optimal  (** search exhausted: best found is optimal (in-class) *)

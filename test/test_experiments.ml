@@ -131,6 +131,25 @@ let test_plots_script () =
     (fun png -> check_bool png true (contains png body))
     [ "figure10.png"; "figure11.png"; "figure12.png"; "figure13.png"; "figure14.png"; "figure15.png" ]
 
+(* A single artefact runs the same row of the scale table as [all] does:
+   at quick scale Figure 9 is the 300-task LargeRandSet DAG either way. *)
+let test_single_artefact_matches_all () =
+  let one = Filename.concat tmp_out "one" and every = Filename.concat tmp_out "all" in
+  (match Figures.run ~out_dir:one Figures.Quick Figures.Figure9 with
+   | Ok () -> ()
+   | Error msg -> Alcotest.fail msg);
+  Figures.all ~out_dir:every Figures.Quick;
+  let dot dir = In_channel.with_open_bin (Filename.concat dir "figure9.dot") In_channel.input_all in
+  let dag = List.hd (Workloads.large_rand_set ~count:1 ~size:300 ()) in
+  check_int "300 tasks" 300 (Dag.n_tasks dag);
+  check_string "single run writes the 300-task DAG" (Dag.to_dot dag) (dot one);
+  check_string "single run = the figure-9 step of all" (dot every) (dot one)
+
+let test_scale_without_row () =
+  match Figures.run ~out_dir:tmp_out Figures.Default Figures.Online with
+  | Ok () -> Alcotest.fail "online has no default-scale row"
+  | Error msg -> check_string "message" "online has no default-scale row" msg
+
 let test_default_alphas () =
   check_int "20 points" 20 (List.length Figures.default_alphas);
   check_float "first" 0.05 (List.hd Figures.default_alphas);
@@ -154,5 +173,8 @@ let () =
       ( "figures",
         [ Alcotest.test_case "drivers smoke" `Slow test_figures_smoke;
           Alcotest.test_case "details smoke" `Slow test_figure11_13_smoke;
+          Alcotest.test_case "single artefact = its step of all" `Slow
+            test_single_artefact_matches_all;
+          Alcotest.test_case "scale without a row" `Quick test_scale_without_row;
           Alcotest.test_case "gnuplot script" `Quick test_plots_script;
           Alcotest.test_case "default alphas" `Quick test_default_alphas ] ) ]

@@ -500,27 +500,54 @@ let exact_dominance_agrees_with_reference =
       | _ -> true)
 
 (* The parallel decomposition is jobs-invariant by construction: pool absent,
-   1-job pool and multi-job pool return identical results, including node
+   a 1-job pool and multi-job pools return identical results, including node
    counts. *)
+let exact_same_for_jobs ~node_limit ~jobs g p =
+  let serial = Exact.solve ~node_limit g p in
+  let same (a : Exact.result) (b : Exact.result) =
+    a.Exact.status = b.Exact.status
+    && Int64.equal (bits a.Exact.makespan) (bits b.Exact.makespan)
+    && Int64.equal (bits a.Exact.best_bound) (bits b.Exact.best_bound)
+    && a.Exact.nodes = b.Exact.nodes
+  in
+  List.for_all
+    (fun jobs ->
+      same serial (Par.with_pool ~jobs (fun pool -> Exact.solve ~pool ~node_limit g p)))
+    jobs
+
+(* Fixed cases first: tiled LU and Cholesky (n=6) on the mirage platform
+   capped at 0.7x HEFT's peak, and a width-8 fork-join, at a 2 000-node
+   budget over jobs 1/2/8.  Then random 7-task DAGs at 0.8x the peak. *)
 let exact_jobs_invariant =
-  qtest ~count:10 "exact solve is jobs-invariant"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = dag_of_seed ~size:7 seed in
-      let p0 = Platform.unbounded ~p_blue:2 ~p_red:2 in
+  let fixed () =
+    let capped g p0 =
       let peak = Outcome.peak_max (Outcome.run Heuristics.HEFT g p0) in
-      let p = Platform.with_bounds p0 ~m_blue:(0.8 *. peak) ~m_red:(0.8 *. peak) in
-      let serial = Exact.solve ~node_limit:20_000 g p in
-      let with_jobs jobs =
-        Par.with_pool ~jobs (fun pool -> Exact.solve ~pool ~node_limit:20_000 g p)
-      in
-      let same (a : Exact.result) (b : Exact.result) =
-        a.Exact.status = b.Exact.status
-        && Int64.equal (bits a.Exact.makespan) (bits b.Exact.makespan)
-        && Int64.equal (bits a.Exact.best_bound) (bits b.Exact.best_bound)
-        && a.Exact.nodes = b.Exact.nodes
-      in
-      same serial (with_jobs 1) && same serial (with_jobs 2) && same serial (with_jobs 4))
+      (g, Platform.with_bounds p0 ~m_blue:(0.7 *. peak) ~m_red:(0.7 *. peak))
+    in
+    [ ("lu n=6", capped (Workloads.lu ~n:6 ()) Workloads.platform_mirage);
+      ("cholesky n=6", capped (Workloads.cholesky ~n:6 ()) Workloads.platform_mirage);
+      ("fork_join width 8",
+       (Toy.fork_join ~width:8 ~w:1. ~f:1. ~c:1.,
+        Platform.make ~p_blue:2 ~p_red:1 ~m_blue:8. ~m_red:8.)) ]
+  in
+  let name, speed, random =
+    qtest ~count:10 "exact solve is jobs-invariant"
+      QCheck.(int_range 0 10_000)
+      (fun seed ->
+        let g = dag_of_seed ~size:7 seed in
+        let p0 = Platform.unbounded ~p_blue:2 ~p_red:2 in
+        let peak = Outcome.peak_max (Outcome.run Heuristics.HEFT g p0) in
+        let p = Platform.with_bounds p0 ~m_blue:(0.8 *. peak) ~m_red:(0.8 *. peak) in
+        exact_same_for_jobs ~node_limit:20_000 ~jobs:[ 1; 2; 4 ] g p)
+  in
+  ( name,
+    speed,
+    fun () ->
+      List.iter
+        (fun (case, (g, p)) ->
+          check_bool case true (exact_same_for_jobs ~node_limit:2_000 ~jobs:[ 1; 2; 8 ] g p))
+        (fixed ());
+      random () )
 
 (* ---------------------------------------------------------- properties --- *)
 

@@ -106,7 +106,7 @@ let test_unsafe_array_rule () =
   check_one_finding "unsafe_get in lib" ~rule:"order-stability" ~line:1 ~col:13
     (lint ~path:"lib/core/x.ml" "let g a i = Array.unsafe_get a i\n");
   check_one_finding "unsafe_set in bench" ~rule:"order-stability" ~line:1 ~col:15
-    (lint ~path:"bench/main.ml" "let s a i v = Array.unsafe_set a i v\n")
+    (lint ~path:"bench/pipeline/driver.ml" "let s a i v = Array.unsafe_set a i v\n")
 
 let test_negatives () =
   let clean name src = check_int name 0 (List.length (lint ~path:"lib/core/x.ml" src)) in
@@ -170,7 +170,7 @@ let test_renderers () =
 (* ------------------------------------------------------------- allowlist --- *)
 
 let test_allowlist_parse () =
-  let src = "# grandfathered\n\ndeterminism bench/main.ml\nio-purity lib/a.ml # reason\n" in
+  let src = "# grandfathered\n\ndeterminism bench/pipeline/driver.ml\nio-purity lib/a.ml # reason\n" in
   (match Lint_allowlist.parse_string src with
   | Error e -> Alcotest.failf "unexpected parse error: %s" e
   | Ok entries ->

@@ -316,7 +316,10 @@ let test_planted_cap_violation_rejected () =
 (* ------------------------------------------------------- determinism --- *)
 
 let scenario_fixture () =
-  let instances = [ ("d7", dag_of_seed ~size:12 7); ("d11", dag_of_seed ~size:12 11) ] in
+  let instances =
+    [ ("d7", dag_of_seed ~size:12 7); ("d11", dag_of_seed ~size:12 11);
+      ("lu6", Workloads.lu ~n:6 ()) ]
+  in
   let cfg =
     {
       Scenario.default_config with
@@ -351,8 +354,8 @@ let test_scenario_seed_order_invariance () =
 let test_scenario_summary_counts () =
   let cfg, instances, p = scenario_fixture () in
   let rows, summaries = Scenario.run cfg instances p in
-  check_int "grid size" (2 * 2 * 4) (List.length rows);
-  check_int "summary per (instance, policy)" 4 (List.length summaries);
+  check_int "grid size" (3 * 2 * 4) (List.length rows);
+  check_int "summary per (instance, policy)" 6 (List.length summaries);
   List.iter
     (fun s ->
       check_int "every seed accounted for" 4 (s.Scenario.s_ok + s.Scenario.s_failed);

@@ -32,12 +32,14 @@ lint-debt: build
 # Smoke run of the pipeline benchmark (bench/pipeline, the BENCHMARK.json
 # command) on the 1,005,720-task LU workload with the traced phase on: every
 # correctness check must pass with no failed op, the 10^6-task verification
-# pass (validate + trace + stats) must take under 10 s, and MemHEFT must
-# plan at under 10^5 ns per task (10^5 tasks in 10 s).
+# pass (validate + trace + stats) must take under 10 s, MemHEFT must plan at
+# under 10^5 ns per task (10^5 tasks in 10 s), and building the DAG must
+# allocate under 200 words per task (a count that repeats exactly from run
+# to run).
 bench-pipeline-smoke: build
 	mkdir -p $(TMP)
 	bash bench/pipeline/run.sh --workload lu-big --seed 1 --trace 1 > $(TMP)/pipeline_lu_big.out
-	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5' > /dev/null
+	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5 and .metrics["dag.alloc_words_per_task"].value < 200' > /dev/null
 	@echo "bench-pipeline-smoke OK"
 
 # End-to-end smoke of the scheduling daemon: a fixed-seed DAG through every

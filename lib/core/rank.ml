@@ -18,8 +18,9 @@ let node_weight ?durations g =
     !s /. kf
 
 let upward_ranks ?durations g =
+  let comm = Dag.Csr.e_comm g in
   Paths.bottom_levels g ~node_weight:(node_weight ?durations g)
-    ~edge_weight:(fun e -> e.Dag.comm /. 2.)
+    ~edge_weight:(fun k -> comm.(k) /. 2.)
 
 (* Decreasing rank, ties by jitter then id: two stable sorts from ascending
    ids, by jitter and then by negated rank (negation reverses the order of

@@ -88,8 +88,7 @@ let create ?(options = default_options) ?durations g platform =
   in
   if Array.length durations <> k then
     invalid_arg "Sched_state.create: one duration column per memory pool";
-  let pending = Array.make n 0 in
-  Array.iter (fun (e : Dag.edge) -> pending.(e.Dag.dst) <- pending.(e.Dag.dst) + 1) (Dag.edges g);
+  let pending = Array.init n (Dag.Csr.in_degree g) in
   let ready_arr = Array.make (max 1 n) 0 in
   let in_ready = Array.make n false in
   let ready_len = ref 0 in
@@ -387,7 +386,7 @@ let commit t e =
   t.sched.Schedule.starts.(i) <- start;
   t.sched.Schedule.procs.(i) <- proc;
   (* Incoming cross-pool transfers, walked over the packed CSR predecessor
-     row (ascending eid — the historical list order).  In both just-in-time
+     row (ascending eid, i.e. insertion order).  In both just-in-time
      modes each transfer starts at [start - C(j,i)] so that it completes
      exactly at the task start; the recorded memory profile is therefore
      exact: the file appears in the destination at the transfer start and
@@ -436,11 +435,12 @@ let commit t e =
   t.pool_code.(i) <- q;
   t.assigned_count <- t.assigned_count + 1;
   ready_drop t i;
-  List.iter
-    (fun c ->
-      t.pending_parents.(c) <- t.pending_parents.(c) - 1;
-      if t.pending_parents.(c) = 0 then ready_add t c)
-    (Dag.children g i);
+  let off = Dag.Csr.succ_off g and dst = Dag.Csr.succ_dst g in
+  for p = off.(i) to off.(i + 1) - 1 do
+    let c = dst.(p) in
+    t.pending_parents.(c) <- t.pending_parents.(c) - 1;
+    if t.pending_parents.(c) = 0 then ready_add t c
+  done;
   t.commit_log <- i :: t.commit_log;
   match undo with Some u -> t.trail <- u :: t.trail | None -> ()
 
@@ -463,11 +463,12 @@ let uncommit t =
     t.pool_code.(i) <- -1;
     t.assigned_count <- t.assigned_count - 1;
     t.planned.(q) <- u.u_planned;
-    List.iter
-      (fun c ->
-        if t.pending_parents.(c) = 0 then ready_drop t c;
-        t.pending_parents.(c) <- t.pending_parents.(c) + 1)
-      (Dag.children t.g i);
+    let off = Dag.Csr.succ_off t.g and dst = Dag.Csr.succ_dst t.g in
+    for p = off.(i) to off.(i + 1) - 1 do
+      let c = dst.(p) in
+      if t.pending_parents.(c) = 0 then ready_drop t c;
+      t.pending_parents.(c) <- t.pending_parents.(c) + 1
+    done;
     (match t.commit_log with _ :: log -> t.commit_log <- log | [] -> ());
     ready_add t i
 
@@ -505,12 +506,18 @@ module Reference = struct
         infinity
         (Platform.procs_of_pool t.platform q)
 
+  (* Incoming edges of [i] as records, in eid order: the list the reference
+     folds walk. *)
+  let pred t i =
+    let off = Dag.Csr.pred_off t.g and eid = Dag.Csr.pred_eid t.g in
+    List.init (off.(i + 1) - off.(i)) (fun p -> Dag.edge t.g eid.(off.(i) + p))
+
   let cross_edges t i q =
     List.filter
       (fun (e : Dag.edge) ->
         let qj = t.pool_code.(e.Dag.src) in
         qj >= 0 && qj <> q)
-      (Dag.pred t.g i)
+      (pred t i)
 
   let cross_summary t i q =
     List.fold_left
@@ -529,7 +536,7 @@ module Reference = struct
           else t.aft.(j) +. e.Dag.comm
         in
         Float.max acc arrival)
-      0. (Dag.pred t.g i)
+      0. (pred t i)
 
   let memory_lb t i q =
     let free = t.free.(q) in

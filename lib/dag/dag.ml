@@ -1,42 +1,31 @@
 type task = { id : int; name : string; w_blue : float; w_red : float }
 type edge = { eid : int; src : int; dst : int; size : float; comm : float }
 
-(* Flat mirror of the record/list graph, built once at [finalize].  Hot loops
-   (EST evaluation, commit, rank computation) walk these arrays cache-linearly
-   instead of chasing [edge list] spines; the packed edge ids of each row are
-   in ascending eid order, i.e. exactly the insertion order of the
-   corresponding [succ]/[pred] list, so any fold rewritten over the CSR view
-   accumulates floats in the same order and stays bit-identical. *)
-type csr = {
+(* The graph, stored once as flat arrays and built once at [finalize].
+   Edge ids are builder insertion order, and the packed rows of each task
+   list their edge ids in ascending order, so a fold over a row visits the
+   task's edges in insertion order: every float fold over a row (in/out
+   sizes, levels, ESTs) accumulates in one fixed order. *)
+type t = {
+  names : string array;  (* task attributes, indexed by task id *)
+  w_blue : float array;
+  w_red : float array;
+  in_sz : float array;  (* total input / output file size per task *)
+  out_sz : float array;
+  e_src : int array;  (* edge attributes, indexed by eid *)
+  e_dst : int array;
+  e_size : float array;
+  e_comm : float array;
   succ_off : int array;  (* length n+1: row [i] is [succ_off.(i) .. succ_off.(i+1) - 1] *)
   succ_eid : int array;  (* packed outgoing edge ids, ascending eid within a row *)
   succ_dst : int array;  (* dst of the edge at the same packed index *)
   pred_off : int array;
   pred_eid : int array;  (* packed incoming edge ids, ascending eid within a row *)
   pred_src : int array;
-  e_src : int array;  (* SoA edge attributes, indexed by eid *)
-  e_dst : int array;
-  e_size : float array;
-  e_comm : float array;
-  w_blue : float array;  (* SoA task attributes, indexed by task id *)
-  w_red : float array;
-  in_sz : float array;  (* total input / output file size per task *)
-  out_sz : float array;
+  topo : int array;  (* smallest-id-first Kahn order *)
   layer_of : int array;  (* topological depth: 0 for sources, 1 + max parent depth *)
   layer_off : int array;  (* length n_layers+1 into [layer_tasks] *)
   layer_tasks : int array;  (* task ids grouped by layer, ascending within a layer *)
-  children_v : int list array;  (* precomputed list views for the legacy API *)
-  parents_v : int list array;
-}
-
-type t = {
-  tasks : task array;
-  edges : edge array;
-  succ : edge list array;  (* outgoing, insertion order *)
-  pred : edge list array;  (* incoming, insertion order *)
-  edge_index : (int * int, int) Hashtbl.t;
-  topo : int array;  (* cached topological order *)
-  csr : csr;
 }
 
 module Builder = struct
@@ -44,27 +33,62 @@ module Builder = struct
 
   let _witness : dag option = None
 
+  (* Growable SoA buffers: the first [ntasks] / [nedges] entries are live.
+     [seen] maps the key [(src lsl 31) lor dst] of every accepted edge to its
+     eid; task ids stay below [2^31] long before memory runs out. *)
   type t = {
-    mutable rev_tasks : task list;
-    mutable rev_edges : edge list;
+    mutable names : string array;
+    mutable w_blue : float array;
+    mutable w_red : float array;
     mutable ntasks : int;
+    mutable e_src : int array;
+    mutable e_dst : int array;
+    mutable e_size : float array;
+    mutable e_comm : float array;
     mutable nedges : int;
-    seen : (int * int, unit) Hashtbl.t;
+    seen : Int_table.t;
   }
 
   let create () =
-    { rev_tasks = []; rev_edges = []; ntasks = 0; nedges = 0; seen = Hashtbl.create 64 }
+    {
+      names = Array.make 16 "";
+      w_blue = Array.make 16 0.;
+      w_red = Array.make 16 0.;
+      ntasks = 0;
+      e_src = Array.make 16 0;
+      e_dst = Array.make 16 0;
+      e_size = Array.make 16 0.;
+      e_comm = Array.make 16 0.;
+      nedges = 0;
+      seen = Int_table.create 16;
+    }
+
+  let grown a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let grown_f (a : float array) = grown a 0.
+  let grown_i (a : int array) = grown a 0
 
   let add_task b ?name ~w_blue ~w_red () =
     Fp.check_finite ~what:"Dag.Builder.add_task: processing time" w_blue;
     Fp.check_finite ~what:"Dag.Builder.add_task: processing time" w_red;
     if w_blue < 0. || w_red < 0. then invalid_arg "Dag.Builder.add_task: negative time";
     let id = b.ntasks in
-    let name = match name with Some n -> n | None -> Printf.sprintf "t%d" id in
-    b.rev_tasks <- { id; name; w_blue; w_red } :: b.rev_tasks;
+    if id = Array.length b.names then begin
+      b.names <- grown b.names "";
+      b.w_blue <- grown_f b.w_blue;
+      b.w_red <- grown_f b.w_red
+    end;
+    b.names.(id) <- (match name with Some n -> n | None -> "t" ^ string_of_int id);
+    b.w_blue.(id) <- w_blue;
+    b.w_red.(id) <- w_red;
     b.ntasks <- id + 1;
     id
 
+  (* Every check runs before the first write, so a rejected edge leaves the
+     builder exactly as it was. *)
   let add_edge b ~src ~dst ~size ~comm =
     if src < 0 || src >= b.ntasks || dst < 0 || dst >= b.ntasks then
       invalid_arg "Dag.Builder.add_edge: dangling endpoint";
@@ -72,52 +96,79 @@ module Builder = struct
     Fp.check_finite ~what:"Dag.Builder.add_edge: file size" size;
     Fp.check_finite ~what:"Dag.Builder.add_edge: transfer time" comm;
     if size < 0. || comm < 0. then invalid_arg "Dag.Builder.add_edge: negative attribute";
-    if Hashtbl.mem b.seen (src, dst) then invalid_arg "Dag.Builder.add_edge: duplicate edge";
-    Hashtbl.add b.seen (src, dst) ();
-    b.rev_edges <- { eid = b.nedges; src; dst; size; comm } :: b.rev_edges;
-    b.nedges <- b.nedges + 1
+    let k = b.nedges in
+    if not (Int_table.add b.seen ((src lsl 31) lor dst) k) then
+      invalid_arg "Dag.Builder.add_edge: duplicate edge";
+    if k = Array.length b.e_src then begin
+      b.e_src <- grown_i b.e_src;
+      b.e_dst <- grown_i b.e_dst;
+      b.e_size <- grown_f b.e_size;
+      b.e_comm <- grown_f b.e_comm
+    end;
+    b.e_src.(k) <- src;
+    b.e_dst.(k) <- dst;
+    b.e_size.(k) <- size;
+    b.e_comm.(k) <- comm;
+    b.nedges <- k + 1
 
-  (* Kahn's algorithm; ids of equal depth come out in increasing order thanks
-     to the priority queue, making the order deterministic. *)
-  let topo_sort ~n ~succ ~indeg =
-    let indeg = Array.copy indeg in
-    let ready = Pqueue.create ~cmp:compare in
-    for i = 0 to n - 1 do
-      if indeg.(i) = 0 then Pqueue.push ready i
-    done;
-    let order = Array.make n (-1) in
-    let k = ref 0 in
-    let rec drain () =
-      match Pqueue.pop ready with
-      | None -> ()
-      | Some i ->
-        order.(!k) <- i;
-        incr k;
-        List.iter
-          (fun e ->
-            indeg.(e.dst) <- indeg.(e.dst) - 1;
-            if indeg.(e.dst) = 0 then Pqueue.push ready e.dst)
-          succ.(i);
-        drain ()
+  (* Kahn's algorithm over a binary min-heap of task ids: the smallest ready
+     id is always taken next, so the order is a function of the graph
+     alone. *)
+  let topo_sort ~n ~succ_off ~succ_dst ~pred_off =
+    let indeg = Array.init n (fun i -> pred_off.(i + 1) - pred_off.(i)) in
+    let heap = Array.make n 0 and size = ref 0 in
+    let push x =
+      let c = ref !size in
+      incr size;
+      while !c > 0 && heap.((!c - 1) / 2) > x do
+        heap.(!c) <- heap.((!c - 1) / 2);
+        c := (!c - 1) / 2
+      done;
+      heap.(!c) <- x
     in
-    drain ();
+    let pop () =
+      let top = heap.(0) in
+      decr size;
+      let x = heap.(!size) and c = ref 0 and stop = ref false in
+      while not !stop do
+        let l = (2 * !c) + 1 in
+        if l >= !size then stop := true
+        else begin
+          let m = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+          if heap.(m) < x then begin
+            heap.(!c) <- heap.(m);
+            c := m
+          end
+          else stop := true
+        end
+      done;
+      if !size > 0 then heap.(!c) <- x;
+      top
+    in
+    for i = 0 to n - 1 do
+      if indeg.(i) = 0 then push i
+    done;
+    let order = Array.make n 0 in
+    let k = ref 0 in
+    while !size > 0 do
+      let i = pop () in
+      order.(!k) <- i;
+      incr k;
+      for p = succ_off.(i) to succ_off.(i + 1) - 1 do
+        let d = succ_dst.(p) in
+        indeg.(d) <- indeg.(d) - 1;
+        if indeg.(d) = 0 then push d
+      done
+    done;
     if !k <> n then invalid_arg "Dag.Builder.finalize: graph has a cycle";
     order
 
   (* Two-pass counting sort by endpoint.  Scanning eids in ascending order
-     through the row cursors packs each row in ascending eid order — the same
-     order as the [succ]/[pred] insertion-order lists. *)
-  let build_csr ~n ~(edges : edge array) ~(tasks : task array) ~topo =
-    let m = Array.length edges in
-    let e_src = Array.make m 0 and e_dst = Array.make m 0 in
-    let e_size = Array.make m 0. and e_comm = Array.make m 0. in
-    for k = 0 to m - 1 do
-      let e = edges.(k) in
-      e_src.(k) <- e.src;
-      e_dst.(k) <- e.dst;
-      e_size.(k) <- e.size;
-      e_comm.(k) <- e.comm
-    done;
+     through the row cursors packs each row in ascending eid order. *)
+  let finalize b =
+    let n = b.ntasks and m = b.nedges in
+    let e_src = Array.sub b.e_src 0 m and e_dst = Array.sub b.e_dst 0 m in
+    let e_size = Array.sub b.e_size 0 m and e_comm = Array.sub b.e_comm 0 m in
     let succ_off = Array.make (n + 1) 0 and pred_off = Array.make (n + 1) 0 in
     for k = 0 to m - 1 do
       succ_off.(e_src.(k) + 1) <- succ_off.(e_src.(k) + 1) + 1;
@@ -139,13 +190,8 @@ module Builder = struct
       pred_src.(pcur.(d)) <- s;
       pcur.(d) <- pcur.(d) + 1
     done;
-    let w_blue = Array.make n 0. and w_red = Array.make n 0. in
-    for i = 0 to n - 1 do
-      w_blue.(i) <- tasks.(i).w_blue;
-      w_red.(i) <- tasks.(i).w_red
-    done;
-    (* Same left-fold order over the same rows as the historical
-       [in_size]/[out_size] List.fold_left: bit-identical sums. *)
+    let topo = topo_sort ~n ~succ_off ~succ_dst ~pred_off in
+    (* Left folds over the rows in eid order. *)
     let in_sz = Array.make n 0. and out_sz = Array.make n 0. in
     for i = 0 to n - 1 do
       let acc = ref 0. in
@@ -185,122 +231,89 @@ module Builder = struct
       layer_tasks.(lcur.(l)) <- i;
       lcur.(l) <- lcur.(l) + 1
     done;
-    let children_v = Array.make n [] and parents_v = Array.make n [] in
-    for i = 0 to n - 1 do
-      let cs = ref [] in
-      for k = succ_off.(i + 1) - 1 downto succ_off.(i) do
-        cs := succ_dst.(k) :: !cs
-      done;
-      children_v.(i) <- !cs;
-      let ps = ref [] in
-      for k = pred_off.(i + 1) - 1 downto pred_off.(i) do
-        ps := pred_src.(k) :: !ps
-      done;
-      parents_v.(i) <- !ps
-    done;
     {
+      names = Array.sub b.names 0 n;
+      w_blue = Array.sub b.w_blue 0 n;
+      w_red = Array.sub b.w_red 0 n;
+      in_sz;
+      out_sz;
+      e_src;
+      e_dst;
+      e_size;
+      e_comm;
       succ_off;
       succ_eid;
       succ_dst;
       pred_off;
       pred_eid;
       pred_src;
-      e_src;
-      e_dst;
-      e_size;
-      e_comm;
-      w_blue;
-      w_red;
-      in_sz;
-      out_sz;
+      topo;
       layer_of;
       layer_off;
       layer_tasks;
-      children_v;
-      parents_v;
     }
-
-  let finalize b =
-    let n = b.ntasks in
-    let tasks = Array.make n { id = 0; name = ""; w_blue = 0.; w_red = 0. } in
-    List.iter (fun t -> tasks.(t.id) <- t) b.rev_tasks;
-    let edges = Array.make b.nedges { eid = 0; src = 0; dst = 0; size = 0.; comm = 0. } in
-    List.iter (fun e -> edges.(e.eid) <- e) b.rev_edges;
-    let succ = Array.make n [] and pred = Array.make n [] in
-    let indeg = Array.make n 0 in
-    (* Iterate in reverse eid order so the lists end up in insertion order. *)
-    for k = b.nedges - 1 downto 0 do
-      let e = edges.(k) in
-      succ.(e.src) <- e :: succ.(e.src);
-      pred.(e.dst) <- e :: pred.(e.dst)
-    done;
-    Array.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
-    let topo = topo_sort ~n ~succ ~indeg in
-    let edge_index = Hashtbl.create (max 16 b.nedges) in
-    Array.iter (fun e -> Hashtbl.replace edge_index (e.src, e.dst) e.eid) edges;
-    let csr = build_csr ~n ~edges ~tasks ~topo in
-    { tasks; edges; succ; pred; edge_index; topo; csr }
 end
 
-let n_tasks g = Array.length g.tasks
-let n_edges g = Array.length g.edges
-let task g i = g.tasks.(i)
-let edge g k = g.edges.(k)
-let tasks g = g.tasks
-let edges g = g.edges
-let succ g i = g.succ.(i)
-let pred g i = g.pred.(i)
+let n_tasks g = Array.length g.names
+let n_edges g = Array.length g.e_src
+let name g i = g.names.(i)
+let task g i = { id = i; name = g.names.(i); w_blue = g.w_blue.(i); w_red = g.w_red.(i) }
 
-(* Precomputed at finalize (same elements, same order as the historical
-   per-call [List.map] over [succ]/[pred]); callers may not mutate. *)
-let children g i = g.csr.children_v.(i)
-let parents g i = g.csr.parents_v.(i)
+let edge g k =
+  { eid = k; src = g.e_src.(k); dst = g.e_dst.(k); size = g.e_size.(k); comm = g.e_comm.(k) }
+
+let tasks g = Array.init (n_tasks g) (task g)
+let edges g = Array.init (n_edges g) (edge g)
 
 let find_edge g ~src ~dst =
-  match Hashtbl.find_opt g.edge_index (src, dst) with
-  | Some k -> Some g.edges.(k)
-  | None -> None
+  if src < 0 || src >= n_tasks g then None
+  else begin
+    let found = ref None in
+    for p = g.succ_off.(src) to g.succ_off.(src + 1) - 1 do
+      if g.succ_dst.(p) = dst then found := Some (edge g g.succ_eid.(p))
+    done;
+    !found
+  end
 
-let sources g =
+let without off g =
   let acc = ref [] in
   for i = n_tasks g - 1 downto 0 do
-    match g.pred.(i) with [] -> acc := i :: !acc | _ :: _ -> ()
+    if off.(i) = off.(i + 1) then acc := i :: !acc
   done;
   !acc
 
-let sinks g =
-  let acc = ref [] in
-  for i = n_tasks g - 1 downto 0 do
-    match g.succ.(i) with [] -> acc := i :: !acc | _ :: _ -> ()
-  done;
-  !acc
-
-let in_size g i = g.csr.in_sz.(i)
-let out_size g i = g.csr.out_sz.(i)
+let sources g = without g.pred_off g
+let sinks g = without g.succ_off g
+let in_size g i = g.in_sz.(i)
+let out_size g i = g.out_sz.(i)
 let mem_req g i = in_size g i +. out_size g i
-let total_file_size g = Array.fold_left (fun acc e -> acc +. e.size) 0. g.edges
+let total_file_size g =
+  let acc = ref 0. in
+  for k = 0 to n_edges g - 1 do
+    acc := !acc +. g.e_size.(k)
+  done;
+  !acc
 
-(* Read-only views of the flat arena.  The contract (enforced by the
-   [order-stability] lint rule fencing raw [Array.unsafe_*] outside this
-   file, and by test_csr's equivalence oracle) is: packed rows are in
-   ascending eid order, identical to the [succ]/[pred] list order. *)
+(* Read-only views of the arena.  The [order-stability] lint rule fences raw
+   [Array.unsafe_*] outside this file; test_csr checks every row against an
+   oracle rebuilt from the eid sequence. *)
 module Csr = struct
-  let succ_off g = g.csr.succ_off
-  let succ_eid g = g.csr.succ_eid
-  let succ_dst g = g.csr.succ_dst
-  let pred_off g = g.csr.pred_off
-  let pred_eid g = g.csr.pred_eid
-  let pred_src g = g.csr.pred_src
-  let e_src g = g.csr.e_src
-  let e_dst g = g.csr.e_dst
-  let e_size g = g.csr.e_size
-  let e_comm g = g.csr.e_comm
-  let w_blue g = g.csr.w_blue
-  let w_red g = g.csr.w_red
-  let in_sz g = g.csr.in_sz
-  let out_sz g = g.csr.out_sz
-  let in_degree g i = g.csr.pred_off.(i + 1) - g.csr.pred_off.(i)
-  let out_degree g i = g.csr.succ_off.(i + 1) - g.csr.succ_off.(i)
+  let succ_off g = g.succ_off
+  let succ_eid g = g.succ_eid
+  let succ_dst g = g.succ_dst
+  let pred_off g = g.pred_off
+  let pred_eid g = g.pred_eid
+  let pred_src g = g.pred_src
+  let e_src g = g.e_src
+  let e_dst g = g.e_dst
+  let e_size g = g.e_size
+  let e_comm g = g.e_comm
+  let w_blue g = g.w_blue
+  let w_red g = g.w_red
+  let in_sz g = g.in_sz
+  let out_sz g = g.out_sz
+  let in_degree g i = g.pred_off.(i + 1) - g.pred_off.(i)
+  let out_degree g i = g.succ_off.(i + 1) - g.succ_off.(i)
 
   let max_in_degree g =
     let d = ref 0 in
@@ -310,16 +323,13 @@ module Csr = struct
     done;
     !d
 
-  let n_layers g = Array.length g.csr.layer_off - 1
-  let layer_of g = g.csr.layer_of
-  let layer_off g = g.csr.layer_off
-  let layer_tasks g = g.csr.layer_tasks
+  let n_layers g = Array.length g.layer_off - 1
+  let layer_of g = g.layer_of
+  let layer_off g = g.layer_off
+  let layer_tasks g = g.layer_tasks
 end
 
-let w_min g i =
-  let t = g.tasks.(i) in
-  Float.min t.w_blue t.w_red
-
+let w_min g i = Float.min g.w_blue.(i) g.w_red.(i)
 let topological_order g = Array.copy g.topo
 
 let is_topological g order =
@@ -331,7 +341,12 @@ let is_topological g order =
     Array.iteri
       (fun k i -> if i < 0 || i >= n || pos.(i) >= 0 then ok := false else pos.(i) <- k)
       order;
-    !ok && Array.for_all (fun e -> pos.(e.src) < pos.(e.dst)) g.edges
+    let k = ref 0 in
+    while !ok && !k < n_edges g do
+      if pos.(g.e_src.(!k)) >= pos.(g.e_dst.(!k)) then ok := false;
+      incr k
+    done;
+    !ok
   end
 
 let longest_path g ~node_weight ~edge_weight =
@@ -341,12 +356,11 @@ let longest_path g ~node_weight ~edge_weight =
     let dist = Array.make n neg_infinity in
     Array.iter
       (fun i ->
-        let from_parents =
-          List.fold_left
-            (fun acc e -> Float.max acc (dist.(e.src) +. edge_weight e))
-            0. g.pred.(i)
-        in
-        dist.(i) <- from_parents +. node_weight i)
+        let acc = ref 0. in
+        for p = g.pred_off.(i) to g.pred_off.(i + 1) - 1 do
+          acc := Float.max !acc (dist.(g.pred_src.(p)) +. edge_weight g.pred_eid.(p))
+        done;
+        dist.(i) <- !acc +. node_weight i)
       g.topo;
     Array.fold_left Float.max neg_infinity dist
   end
@@ -358,15 +372,14 @@ let to_string g =
   Buffer.add_string buf (Printf.sprintf "dag %d %d\n" (n_tasks g) (n_edges g));
   (* The line format is whitespace-separated: keep names parseable. *)
   let safe_name n = String.map (fun c -> if c = ' ' || c = '\t' then '_' else c) n in
-  Array.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "task %d %s %.17g %.17g\n" t.id (safe_name t.name) t.w_blue t.w_red))
-    g.tasks;
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf (Printf.sprintf "edge %d %d %.17g %.17g\n" e.src e.dst e.size e.comm))
-    g.edges;
+  for i = 0 to n_tasks g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "task %d %s %.17g %.17g\n" i (safe_name g.names.(i)) g.w_blue.(i) g.w_red.(i))
+  done;
+  for k = 0 to n_edges g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "edge %d %d %.17g %.17g\n" g.e_src.(k) g.e_dst.(k) g.e_size.(k) g.e_comm.(k))
+  done;
   Buffer.contents buf
 
 let of_string s =
@@ -419,33 +432,34 @@ let of_string s =
 let to_dot ?highlight g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph dag {\n  rankdir=TB;\n  node [shape=box];\n";
-  Array.iter
-    (fun t ->
-      let fill =
-        match highlight with
-        | Some f -> (
-          match f t.id with
-          | Some color -> Printf.sprintf ", style=filled, fillcolor=\"%s\"" color
-          | None -> "")
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"%s];\n" t.id t.name t.w_blue t.w_red fill))
-    g.tasks;
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"F=%g C=%g\"];\n" e.src e.dst e.size e.comm))
-    g.edges;
+  for i = 0 to n_tasks g - 1 do
+    let fill =
+      match highlight with
+      | Some f -> (
+        match f i with
+        | Some color -> Printf.sprintf ", style=filled, fillcolor=\"%s\"" color
+        | None -> "")
+      | None -> ""
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"%s];\n" i g.names.(i) g.w_blue.(i)
+         g.w_red.(i) fill)
+  done;
+  for k = 0 to n_edges g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "  n%d -> n%d [label=\"F=%g C=%g\"];\n" g.e_src.(k) g.e_dst.(k)
+         g.e_size.(k) g.e_comm.(k))
+  done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let pp_stats ppf g =
   let n = n_tasks g and m = n_edges g in
-  let outdeg = Array.make (max n 1) 0 in
-  Array.iter (fun e -> outdeg.(e.src) <- outdeg.(e.src) + 1) g.edges;
-  let max_deg = Array.fold_left max 0 outdeg in
+  let max_deg = ref 0 in
+  for i = 0 to n - 1 do
+    max_deg := max !max_deg (Csr.out_degree g i)
+  done;
   Format.fprintf ppf "tasks=%d edges=%d sources=%d sinks=%d max-out-degree=%d cp(min-w)=%g" n m
     (List.length (sources g))
     (List.length (sinks g))
-    max_deg (critical_path_min g)
+    !max_deg (critical_path_min g)

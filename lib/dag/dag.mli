@@ -6,7 +6,13 @@
     by [j], and a transfer time [C(i,j)] paid when [i] and [j] execute on
     different memories.
 
-    Graphs are immutable once finalised; build them with {!Builder}. *)
+    A graph is stored once, as flat arrays: task attributes indexed by task
+    id, edge attributes indexed by edge id (eid), and compressed-sparse-row
+    (CSR) adjacency rows over them (see {!Csr}).  Task ids and eids are
+    dense and count from 0 in {!Builder} insertion order.  Graphs are
+    immutable once finalised; build them with {!Builder}.  The {!task} and
+    {!edge} records are views built on demand for text I/O and other cold
+    paths; hot loops read the {!Csr} arrays. *)
 
 type task = {
   id : int;
@@ -38,38 +44,43 @@ module Builder : sig
       be non-negative. *)
 
   val add_edge : t -> src:int -> dst:int -> size:float -> comm:float -> unit
-  (** Adds a dependency edge with its file size and transfer time.  Duplicate
-      (src, dst) pairs and self-loops are rejected. *)
+  (** Adds a dependency edge with its file size and transfer time; its eid
+      is the number of edges accepted before it.  Dangling endpoints,
+      self-loops, non-finite or negative attributes and duplicate
+      (src, dst) pairs are rejected, in that order, in expected O(1)
+      amortised time.
+      A rejected edge leaves the builder unchanged, so a caller may catch
+      the exception and go on.
+      @raise Invalid_argument on a rejected edge. *)
 
   val finalize : t -> dag
-  (** Checks acyclicity and freezes the graph.
-      @raise Invalid_argument on a cyclic graph or dangling endpoint. *)
+  (** Checks acyclicity and freezes the graph: fills the CSR rows by
+      counting sort and computes the topological order and layers.
+      @raise Invalid_argument on a cyclic graph. *)
 end
 
 (** {1 Accessors} *)
 
 val n_tasks : t -> int
 val n_edges : t -> int
+
+val name : t -> int -> string
+(** Task name. *)
+
 val task : t -> int -> task
+(** A fresh record view of one task. *)
+
 val edge : t -> int -> edge
+(** A fresh record view of one edge. *)
+
 val tasks : t -> task array
+(** Every task as a fresh record, by id: O(n) allocation, for cold paths. *)
+
 val edges : t -> edge array
-
-val succ : t -> int -> edge list
-(** Outgoing edges of a task, in insertion order. *)
-
-val pred : t -> int -> edge list
-(** Incoming edges of a task, in insertion order. *)
-
-val children : t -> int -> int list
-(** Child task ids in edge-insertion order.  Precomputed at
-    {!Builder.finalize}; the returned list is shared — do not mutate-by-copy
-    patterns that rely on freshness. *)
-
-val parents : t -> int -> int list
-(** Parent task ids in edge-insertion order.  Precomputed, shared. *)
+(** Every edge as a fresh record, by eid: O(m) allocation, for cold paths. *)
 
 val find_edge : t -> src:int -> dst:int -> edge option
+(** Scans the outgoing row of [src]. *)
 
 val sources : t -> int list
 (** Tasks without predecessors. *)
@@ -93,15 +104,15 @@ val total_file_size : t -> float
 val w_min : t -> int -> float
 (** [min w_blue w_red] for a task. *)
 
-(** {1 Flat (CSR / SoA) views}
+(** {1 The arena (CSR / SoA arrays)}
 
-    The scheduling hot paths walk the graph through these contiguous arrays
-    rather than the [edge list] accessors above.  All arrays are built once
-    at {!Builder.finalize} and are READ-ONLY: mutating them corrupts the
-    graph.  Packed adjacency rows are in ascending edge-id order — exactly
-    the insertion order of the corresponding {!succ}/{!pred} list — so a
-    fold over a CSR row accumulates in the same order as the list fold it
-    replaces (bit-identical float results). *)
+    These are the graph's own arrays, not copies: they are built once at
+    {!Builder.finalize} and are READ-ONLY, so mutating one corrupts the
+    graph.  Each task has an outgoing and an incoming row of packed edge
+    ids, in ascending eid order, i.e. in builder insertion order.  A fold
+    over a row therefore visits a task's edges in one fixed order, which is
+    what keeps float accumulations over rows bit-identical from build to
+    build. *)
 
 module Csr : sig
   val succ_off : t -> int array
@@ -121,14 +132,14 @@ module Csr : sig
   (** Source task of the packed incoming edge at the same index. *)
 
   val e_src : t -> int array
-  (** Edge-attribute SoA, indexed by edge id. *)
+  (** Edge attributes, indexed by eid. *)
 
   val e_dst : t -> int array
   val e_size : t -> float array
   val e_comm : t -> float array
 
   val w_blue : t -> float array
-  (** Task-attribute SoA, indexed by task id. *)
+  (** Task attributes, indexed by task id. *)
 
   val w_red : t -> float array
 
@@ -159,13 +170,14 @@ end
 (** {1 Orders and paths} *)
 
 val topological_order : t -> int array
-(** A topological order (parents before children), stable w.r.t. task ids. *)
+(** A fresh copy of the topological order computed at finalize: Kahn's
+    algorithm taking the smallest ready task id first. *)
 
 val is_topological : t -> int array -> bool
 
-val longest_path : t -> node_weight:(int -> float) -> edge_weight:(edge -> float) -> float
+val longest_path : t -> node_weight:(int -> float) -> edge_weight:(int -> float) -> float
 (** Weight of a heaviest source-to-sink path, counting node weights of every
-    node on the path and edge weights of every edge. *)
+    node on the path and edge weights (by eid) of every edge. *)
 
 val critical_path_min : t -> float
 (** Longest path using [min w_blue w_red] per task and zero edge weight: a

@@ -1,7 +1,6 @@
 (* Longest-path levels over the CSR rows: one pass of the cached topological
-   order, each task's packed adjacency row walked cache-linearly.  Row order
-   equals the historical [succ]/[pred] list order, so the [Float.max] folds
-   accumulate identically. *)
+   order, each task's packed adjacency row walked in eid order, so the
+   [Float.max] folds accumulate in one fixed order. *)
 
 let bottom_levels g ~node_weight ~edge_weight =
   let n = Dag.n_tasks g in
@@ -13,7 +12,7 @@ let bottom_levels g ~node_weight ~edge_weight =
     let i = topo.(k) in
     let acc = ref 0. in
     for p = off.(i) to off.(i + 1) - 1 do
-      acc := Float.max !acc (edge_weight (Dag.edge g eid.(p)) +. bl.(dst.(p)))
+      acc := Float.max !acc (edge_weight eid.(p) +. bl.(dst.(p)))
     done;
     bl.(i) <- node_weight i +. !acc
   done;
@@ -30,19 +29,19 @@ let top_levels g ~node_weight ~edge_weight =
       let acc = ref 0. in
       for p = off.(i) to off.(i + 1) - 1 do
         let j = src.(p) in
-        acc := Float.max !acc (tl.(j) +. node_weight j +. edge_weight (Dag.edge g eid.(p)))
+        acc := Float.max !acc (tl.(j) +. node_weight j +. edge_weight eid.(p))
       done;
       tl.(i) <- !acc)
     topo;
   tl
 
 let critical_parent g ~bottom i =
+  let off = Dag.Csr.succ_off g and dst = Dag.Csr.succ_dst g in
   let best = ref None in
-  List.iter
-    (fun e ->
-      let c = e.Dag.dst in
-      match !best with
-      | None -> best := Some c
-      | Some b -> if bottom.(c) > bottom.(b) then best := Some c)
-    (Dag.succ g i);
+  for p = off.(i) to off.(i + 1) - 1 do
+    let c = dst.(p) in
+    match !best with
+    | None -> best := Some c
+    | Some b -> if bottom.(c) > bottom.(b) then best := Some c
+  done;
   !best

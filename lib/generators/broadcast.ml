@@ -3,32 +3,29 @@ let relay_prefix = "bcast_"
 let linearize ?(max_fanout = 1) g =
   if max_fanout < 1 then invalid_arg "Broadcast.linearize: max_fanout must be >= 1";
   let b = Dag.Builder.create () in
+  let n = Dag.n_tasks g in
+  let w_blue = Dag.Csr.w_blue g and w_red = Dag.Csr.w_red g in
   (* Original tasks keep their ids because they are added first, in order. *)
-  Array.iter
-    (fun (t : Dag.task) ->
-      ignore (Dag.Builder.add_task b ~name:t.Dag.name ~w_blue:t.Dag.w_blue ~w_red:t.Dag.w_red ()))
-    (Dag.tasks g);
-  for i = 0 to Dag.n_tasks g - 1 do
-    let out = Dag.succ g i in
-    let d = List.length out in
+  for i = 0 to n - 1 do
+    ignore (Dag.Builder.add_task b ~name:(Dag.name g i) ~w_blue:w_blue.(i) ~w_red:w_red.(i) ())
+  done;
+  let off = Dag.Csr.succ_off g and eid = Dag.Csr.succ_eid g and dst = Dag.Csr.succ_dst g in
+  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
+  let relay_name i k = relay_prefix ^ Dag.name g i ^ "_" ^ string_of_int k in
+  for i = 0 to n - 1 do
+    let d = off.(i + 1) - off.(i) in
     if d <= max_fanout then
-      List.iter (fun (e : Dag.edge) -> Dag.Builder.add_edge b ~src:i ~dst:e.Dag.dst ~size:e.Dag.size ~comm:e.Dag.comm) out
+      for p = off.(i) to off.(i + 1) - 1 do
+        Dag.Builder.add_edge b ~src:i ~dst:dst.(p) ~size:e_size.(eid.(p)) ~comm:e_comm.(eid.(p))
+      done
     else begin
-      let sizes_eq =
-        match out with
-        | [] -> true
-        | e0 :: rest ->
-          List.for_all
-            (fun (e : Dag.edge) ->
-              Float.equal e.Dag.size e0.Dag.size && Float.equal e.Dag.comm e0.Dag.comm)
-            rest
-      in
-      if not sizes_eq then
-        invalid_arg
-          (Printf.sprintf "Broadcast.linearize: task %s has heterogeneous outgoing edges"
-             (Dag.task g i).Dag.name);
-      let size = (List.hd out).Dag.size and comm = (List.hd out).Dag.comm in
-      let consumers = List.map (fun (e : Dag.edge) -> e.Dag.dst) out in
+      let size = e_size.(eid.(off.(i))) and comm = e_comm.(eid.(off.(i))) in
+      for p = off.(i) + 1 to off.(i + 1) - 1 do
+        if not (Float.equal e_size.(eid.(p)) size && Float.equal e_comm.(eid.(p)) comm) then
+          invalid_arg
+            ("Broadcast.linearize: task " ^ Dag.name g i ^ " has heterogeneous outgoing edges")
+      done;
+      let consumers = Array.to_list (Array.sub dst off.(i) d) in
       (* Producer -> relay_1 -> relay_2 -> ... ; relay_k also feeds consumer
          k; the last relay feeds the final two consumers. *)
       let rec pipeline src k = function
@@ -40,9 +37,7 @@ let linearize ?(max_fanout = 1) g =
         | c :: rest ->
           Dag.Builder.add_edge b ~src ~dst:c ~size ~comm;
           let relay =
-            Dag.Builder.add_task b
-              ~name:(Printf.sprintf "%s%s_%d" relay_prefix (Dag.task g i).Dag.name k)
-              ~w_blue:0. ~w_red:0. ()
+            Dag.Builder.add_task b ~name:(relay_name i k) ~w_blue:0. ~w_red:0. ()
           in
           Dag.Builder.add_edge b ~src ~dst:relay ~size ~comm;
           pipeline relay (k + 1) rest
@@ -54,9 +49,7 @@ let linearize ?(max_fanout = 1) g =
       | [ c ] -> Dag.Builder.add_edge b ~src:i ~dst:c ~size ~comm
       | consumers ->
         let relay0 =
-          Dag.Builder.add_task b
-            ~name:(Printf.sprintf "%s%s_0" relay_prefix (Dag.task g i).Dag.name)
-            ~w_blue:0. ~w_red:0. ()
+          Dag.Builder.add_task b ~name:(relay_name i 0) ~w_blue:0. ~w_red:0. ()
         in
         Dag.Builder.add_edge b ~src:i ~dst:relay0 ~size ~comm;
         pipeline relay0 1 consumers)
@@ -65,7 +58,7 @@ let linearize ?(max_fanout = 1) g =
   Dag.Builder.finalize b
 
 let is_fictitious g i =
-  let name = (Dag.task g i).Dag.name in
+  let name = Dag.name g i in
   String.length name >= String.length relay_prefix
   && String.sub name 0 (String.length relay_prefix) = relay_prefix
 

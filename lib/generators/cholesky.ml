@@ -3,20 +3,20 @@ let generate ?pipeline_broadcasts ~n () =
   let t = Tiled.create () in
   for k = 0 to n - 1 do
     Tiled.add_kernel t Kernels.Potrf
-      ~name:(Printf.sprintf "potrf_%d" k)
+      ~name:(Tiled.name "potrf" [| k |])
       ~reads:[] ~writes:(k, k);
     for i = k + 1 to n - 1 do
       Tiled.add_kernel t Kernels.Trsm_l
-        ~name:(Printf.sprintf "trsm_%d_%d" i k)
+        ~name:(Tiled.name "trsm" [| i; k |])
         ~reads:[ (k, k) ] ~writes:(i, k)
     done;
     for i = k + 1 to n - 1 do
       Tiled.add_kernel t Kernels.Syrk
-        ~name:(Printf.sprintf "syrk_%d_%d" i k)
+        ~name:(Tiled.name "syrk" [| i; k |])
         ~reads:[ (i, k) ] ~writes:(i, i);
       for j = k + 1 to i - 1 do
         Tiled.add_kernel t Kernels.Gemm
-          ~name:(Printf.sprintf "gemm_%d_%d_%d" i j k)
+          ~name:(Tiled.name "gemm" [| i; j; k |])
           ~reads:[ (i, k); (j, k) ]
           ~writes:(i, j)
       done

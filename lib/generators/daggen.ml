@@ -63,7 +63,7 @@ let generate rng p =
     List.mapi
       (fun l w ->
         Array.init w (fun k ->
-            let name = Printf.sprintf "n%d_%d" l k in
+            let name = "n" ^ string_of_int l ^ "_" ^ string_of_int k in
             Dag.Builder.add_task b ~name ~w_blue:(draw p.w_range) ~w_red:(draw p.w_range) ()))
       widths
   in

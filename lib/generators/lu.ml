@@ -3,22 +3,22 @@ let generate ?pipeline_broadcasts ~n () =
   let t = Tiled.create () in
   for k = 0 to n - 1 do
     Tiled.add_kernel t Kernels.Getrf
-      ~name:(Printf.sprintf "getrf_%d" k)
+      ~name:(Tiled.name "getrf" [| k |])
       ~reads:[] ~writes:(k, k);
     for j = k + 1 to n - 1 do
       Tiled.add_kernel t Kernels.Trsm_l
-        ~name:(Printf.sprintf "trsml_%d_%d" k j)
+        ~name:(Tiled.name "trsml" [| k; j |])
         ~reads:[ (k, k) ] ~writes:(k, j)
     done;
     for i = k + 1 to n - 1 do
       Tiled.add_kernel t Kernels.Trsm_u
-        ~name:(Printf.sprintf "trsmu_%d_%d" i k)
+        ~name:(Tiled.name "trsmu" [| i; k |])
         ~reads:[ (k, k) ] ~writes:(i, k)
     done;
     for i = k + 1 to n - 1 do
       for j = k + 1 to n - 1 do
         Tiled.add_kernel t Kernels.Gemm
-          ~name:(Printf.sprintf "gemm_%d_%d_%d" i j k)
+          ~name:(Tiled.name "gemm" [| i; j; k |])
           ~reads:[ (i, k); (k, j) ]
           ~writes:(i, j)
       done

@@ -12,10 +12,17 @@ type t
 
 val create : unit -> t
 
+val name : string -> int array -> string
+(** [name "gemm" [| i; j; k |]] is ["gemm_i_j_k"]: the bytes of
+    [Printf.sprintf "gemm_%d_%d_%d" i j k], without the format
+    interpreter.
+    @raise Invalid_argument on a negative index. *)
+
 val add_kernel : t -> Kernels.kernel -> name:string -> reads:(int * int) list -> writes:int * int -> unit
 (** Adds a task running the given kernel; dependencies come from the last
     writers of [reads] plus the last writer of [writes] (in-place update).
-    Duplicate tile reads are de-duplicated. *)
+    Duplicate writers are de-duplicated, and the edges are added in
+    ascending order of their source id. *)
 
 val finalize : ?pipeline_broadcasts:bool -> t -> Dag.t
 (** Builds the DAG; [pipeline_broadcasts] (default true) applies

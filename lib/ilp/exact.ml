@@ -161,6 +161,15 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
     done;
     Digest.string (Buffer.contents buf)
   in
+  (* Latest finish among the parents of [i]. *)
+  let pred_off = Dag.Csr.pred_off g and pred_src = Dag.Csr.pred_src g in
+  let parents_finish state i =
+    let p = ref 0. in
+    for k = pred_off.(i) to pred_off.(i + 1) - 1 do
+      p := Float.max !p (Sched_state.finish_time state pred_src.(k))
+    done;
+    !p
+  in
   (* Precedence-only node lower bound: a ready task cannot start before its
      latest parent finishes (transfer times excluded — the task's memory is
      not fixed yet, and a same-memory placement pays no transfer), and then
@@ -170,13 +179,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
      task's memory-EST earlier), so it is sound as a node-level prune. *)
   let prec_bound state =
     List.fold_left
-      (fun acc i ->
-        let prec =
-          List.fold_left
-            (fun p (e : Dag.edge) -> Float.max p (Sched_state.finish_time state e.Dag.src))
-            0. (Dag.pred g i)
-        in
-        Float.max acc (prec +. bottom.(i)))
+      (fun acc i -> Float.max acc (parents_finish state i +. bottom.(i)))
       0.
       (Sched_state.ready_tasks state)
   in
@@ -232,11 +235,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
                      entries would have been dropped by the [lb] filter
                      below, so the candidate list (and hence the tree and
                      the reference parity) is unchanged. *)
-                  let prec =
-                    List.fold_left
-                      (fun p (e : Dag.edge) -> Float.max p (Sched_state.finish_time state e.Dag.src))
-                      0. (Dag.pred g i)
-                  in
+                  let prec = parents_finish state i in
                   if Float.max current_max (prec +. bottom.(i)) >= !inc -. eps then []
                   else
                     List.filter_map

@@ -33,15 +33,16 @@ let ancestors g =
   let n = Dag.n_tasks g in
   let reach = Array.make_matrix n n false in
   let topo = Dag.topological_order g in
+  let off = Dag.Csr.succ_off g and dst = Dag.Csr.succ_dst g in
   for k = Array.length topo - 1 downto 0 do
     let i = topo.(k) in
-    List.iter
-      (fun c ->
-        reach.(i).(c) <- true;
-        for j = 0 to n - 1 do
-          if reach.(c).(j) then reach.(i).(j) <- true
-        done)
-      (Dag.children g i)
+    for p = off.(i) to off.(i + 1) - 1 do
+      let c = dst.(p) in
+      reach.(i).(c) <- true;
+      for j = 0 to n - 1 do
+        if reach.(c).(j) then reach.(i).(j) <- true
+      done
+    done
   done;
   reach
 

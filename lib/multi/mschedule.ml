@@ -66,7 +66,7 @@ let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
   let g = problem.Mproblem.graph in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let name i = (Dag.task g i).Dag.name in
+  let name i = Dag.name g i in
   for i = 0 to Dag.n_tasks g - 1 do
     if s.Schedule.procs.(i) < 0 || s.Schedule.procs.(i) >= Platform.n_procs platform then
       err "task %s: processor %d out of range" (name i) s.Schedule.procs.(i);

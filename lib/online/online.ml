@@ -123,9 +123,10 @@ module View = struct
      (Batch) the two arrays are bit-identical. *)
   let priority_order v =
     let g = graph v in
+    let e_dst = Dag.Csr.e_dst g and e_comm = Dag.Csr.e_comm g in
     let rank =
-      Paths.bottom_levels g ~node_weight:(Rank.node_weight g) ~edge_weight:(fun e ->
-          if v.released.(e.Dag.dst) then e.Dag.comm /. 2. else neg_infinity)
+      Paths.bottom_levels g ~node_weight:(Rank.node_weight g) ~edge_weight:(fun k ->
+          if v.released.(e_dst.(k)) then e_comm.(k) /. 2. else neg_infinity)
     in
     let acc = ref [] in
     for i = n_tasks v - 1 downto 0 do

@@ -88,8 +88,8 @@ let first_proc p mu =
   p.first.(index mu)
 
 let w g i = function
-  | Blue -> (Dag.task g i).Dag.w_blue
-  | Red -> (Dag.task g i).Dag.w_red
+  | Blue -> (Dag.Csr.w_blue g).(i)
+  | Red -> (Dag.Csr.w_red g).(i)
 
 let pp ppf p =
   if n_pools p = 2 then

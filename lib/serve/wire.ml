@@ -196,19 +196,20 @@ let encode_request_body b (r : request) =
   w_f64 b (Platform.capacity p Platform.Red);
   let g = r.dag in
   w_u32 b (Dag.n_tasks g);
-  Array.iter
-    (fun (t : Dag.task) ->
-      w_f64 b t.Dag.w_blue;
-      w_f64 b t.Dag.w_red)
-    (Dag.tasks g);
+  let w_blue = Dag.Csr.w_blue g and w_red = Dag.Csr.w_red g in
+  for i = 0 to Dag.n_tasks g - 1 do
+    w_f64 b w_blue.(i);
+    w_f64 b w_red.(i)
+  done;
   w_u32 b (Dag.n_edges g);
-  Array.iter
-    (fun (e : Dag.edge) ->
-      w_u32 b e.Dag.src;
-      w_u32 b e.Dag.dst;
-      w_f64 b e.Dag.size;
-      w_f64 b e.Dag.comm)
-    (Dag.edges g)
+  let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g in
+  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
+  for k = 0 to Dag.n_edges g - 1 do
+    w_u32 b e_src.(k);
+    w_u32 b e_dst.(k);
+    w_f64 b e_size.(k);
+    w_f64 b e_comm.(k)
+  done
 
 let decode_request_body c =
   let id = r_i64 c in

@@ -128,7 +128,7 @@ let pop q =
     end
     else
       (* Drop the payload array entirely: popped payloads must not be kept
-         alive by stale heap slots (the space-leak discipline of Pqueue). *)
+         alive by stale heap slots. *)
       q.payloads <- [||];
     Some (time, kind, payload)
   end

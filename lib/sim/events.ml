@@ -222,17 +222,17 @@ let events_of_reference g platform s =
     push s.Schedule.starts.(i) 1 mem (Dag.out_size g i);
     push (Schedule.finish g platform s i) 0 mem (-.Dag.in_size g i)
   done;
-  Array.iter
-    (fun (e : Dag.edge) ->
-      if Schedule.is_cut platform s e then begin
-        match s.Schedule.comm_starts.(e.Dag.eid) with
-        | Some tau ->
-          let src_mem = Schedule.memory_of platform s e.Dag.src in
-          push tau 1 (Platform.other src_mem) e.Dag.size;
-          push (tau +. e.Dag.comm) 0 src_mem (-.e.Dag.size)
-        | None -> invalid_arg "Events.memory_trace: cut edge without transfer"
-      end)
-    (Dag.edges g);
+  for k = 0 to Dag.n_edges g - 1 do
+    let e = Dag.edge g k in
+    if Schedule.is_cut platform s e then begin
+      match s.Schedule.comm_starts.(e.Dag.eid) with
+      | Some tau ->
+        let src_mem = Schedule.memory_of platform s e.Dag.src in
+        push tau 1 (Platform.other src_mem) e.Dag.size;
+        push (tau +. e.Dag.comm) 0 src_mem (-.e.Dag.size)
+      | None -> invalid_arg "Events.memory_trace: cut edge without transfer"
+    end
+  done;
   List.map (fun (time, kind, (mem, delta)) -> { time; kind; mem; delta }) (Event_queue.drain q)
 
 let memory_trace_reference g platform s =

@@ -14,7 +14,7 @@ let task_lanes width g platform s =
     let t0 = s.Schedule.starts.(i) and t1 = Schedule.finish g platform s i in
     let c0 = column width horizon t0 in
     let c1 = max c0 (column width horizon t1 - if t1 < horizon then 1 else 0) in
-    let label = (Dag.task g i).Dag.name in
+    let label = Dag.name g i in
     for c = c0 to c1 do
       let k = c - c0 in
       let ch = if k < String.length label then label.[k] else '=' in

@@ -166,15 +166,15 @@ let compute_reference g platform s =
         })
   in
   let n_transfers = ref 0 and volume = ref 0. and ttime = ref 0. in
-  Array.iter
-    (fun (e : Dag.edge) ->
-      match s.Schedule.comm_starts.(e.Dag.eid) with
-      | Some _ ->
-        incr n_transfers;
-        volume := !volume +. e.Dag.size;
-        ttime := !ttime +. e.Dag.comm
-      | None -> ())
-    (Dag.edges g);
+  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
+  for k = 0 to Dag.n_edges g - 1 do
+    match s.Schedule.comm_starts.(k) with
+    | Some _ ->
+      incr n_transfers;
+      volume := !volume +. e_size.(k);
+      ttime := !ttime +. e_comm.(k)
+    | None -> ()
+  done;
   let trace = Events.memory_trace_reference g platform s in
   {
     makespan;

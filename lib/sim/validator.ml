@@ -33,7 +33,7 @@ let ranges ~shard len =
 
 let validate ?(eps = Fp.default_eps) ?pool ?scratch g platform s =
   let n = Dag.n_tasks g and ne = Dag.n_edges g in
-  let name i = (Dag.task g i).Dag.name in
+  let name i = Dag.name g i in
   let nprocs = Platform.n_procs platform in
   let p_blue = Platform.n_procs_of platform Platform.Blue in
   let starts = s.Schedule.starts and procs = s.Schedule.procs in
@@ -159,7 +159,7 @@ let validate_reference ?(eps = Fp.default_eps) g platform s =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let n = Dag.n_tasks g in
-  let name i = (Dag.task g i).Dag.name in
+  let name i = Dag.name g i in
   (* Placement sanity. *)
   for i = 0 to n - 1 do
     if s.Schedule.procs.(i) < 0 || s.Schedule.procs.(i) >= Platform.n_procs platform then
@@ -169,30 +169,30 @@ let validate_reference ?(eps = Fp.default_eps) g platform s =
   if !errors <> [] then Error (List.rev !errors)
   else begin
     (* Transfer bookkeeping and flow constraints. *)
-    Array.iter
-      (fun (e : Dag.edge) ->
-        let cut = Schedule.is_cut platform s e in
-        let tau = s.Schedule.comm_starts.(e.Dag.eid) in
-        match (cut, tau) with
-        | true, None -> err "edge %s->%s: cut edge without a transfer" (name e.Dag.src) (name e.Dag.dst)
-        | false, Some _ ->
-          err "edge %s->%s: same-memory edge with a spurious transfer" (name e.Dag.src)
-            (name e.Dag.dst)
-        | true, Some tau ->
-          let f_src = Schedule.finish g platform s e.Dag.src in
-          if Fp.gt ~eps f_src tau then
-            err "edge %s->%s: transfer starts at %g before producer finishes at %g" (name e.Dag.src)
-              (name e.Dag.dst) tau f_src;
-          if Fp.gt ~eps (tau +. e.Dag.comm) s.Schedule.starts.(e.Dag.dst) then
-            err "edge %s->%s: transfer ends at %g after consumer starts at %g" (name e.Dag.src)
-              (name e.Dag.dst) (tau +. e.Dag.comm) s.Schedule.starts.(e.Dag.dst);
-          if Fp.lt ~eps tau 0. then err "edge %s->%s: negative transfer start" (name e.Dag.src) (name e.Dag.dst)
-        | false, None ->
-          let f_src = Schedule.finish g platform s e.Dag.src in
-          if Fp.gt ~eps f_src s.Schedule.starts.(e.Dag.dst) then
-            err "edge %s->%s: consumer starts at %g before producer finishes at %g" (name e.Dag.src)
-              (name e.Dag.dst) s.Schedule.starts.(e.Dag.dst) f_src)
-      (Dag.edges g);
+    for k = 0 to Dag.n_edges g - 1 do
+      let e = Dag.edge g k in
+      let cut = Schedule.is_cut platform s e in
+      let tau = s.Schedule.comm_starts.(e.Dag.eid) in
+      match (cut, tau) with
+      | true, None -> err "edge %s->%s: cut edge without a transfer" (name e.Dag.src) (name e.Dag.dst)
+      | false, Some _ ->
+        err "edge %s->%s: same-memory edge with a spurious transfer" (name e.Dag.src)
+          (name e.Dag.dst)
+      | true, Some tau ->
+        let f_src = Schedule.finish g platform s e.Dag.src in
+        if Fp.gt ~eps f_src tau then
+          err "edge %s->%s: transfer starts at %g before producer finishes at %g" (name e.Dag.src)
+            (name e.Dag.dst) tau f_src;
+        if Fp.gt ~eps (tau +. e.Dag.comm) s.Schedule.starts.(e.Dag.dst) then
+          err "edge %s->%s: transfer ends at %g after consumer starts at %g" (name e.Dag.src)
+            (name e.Dag.dst) (tau +. e.Dag.comm) s.Schedule.starts.(e.Dag.dst);
+        if Fp.lt ~eps tau 0. then err "edge %s->%s: negative transfer start" (name e.Dag.src) (name e.Dag.dst)
+      | false, None ->
+        let f_src = Schedule.finish g platform s e.Dag.src in
+        if Fp.gt ~eps f_src s.Schedule.starts.(e.Dag.dst) then
+          err "edge %s->%s: consumer starts at %g before producer finishes at %g" (name e.Dag.src)
+            (name e.Dag.dst) s.Schedule.starts.(e.Dag.dst) f_src
+    done;
     (* Resource constraints: sweep each processor's tasks by start time.
        Zero-duration tasks may share an instant with anything. *)
     for p = 0 to Platform.n_procs platform - 1 do

@@ -34,6 +34,11 @@ let star ?(size = 2.) ?(comm = 3.) d =
 
 let seed_arb = QCheck.int_range 0 10_000
 
+(* Child / parent ids of a task, read off its CSR rows (eid order). *)
+let row off ids i = List.init (off.(i + 1) - off.(i)) (fun p -> ids.(off.(i) + p))
+let children g i = row (Dag.Csr.succ_off g) (Dag.Csr.succ_dst g) i
+let parents g i = row (Dag.Csr.pred_off g) (Dag.Csr.pred_src g) i
+
 (* A platform with two processors per memory and the given symmetric bound. *)
 let platform ?(p_blue = 2) ?(p_red = 2) bound =
   Platform.make ~p_blue ~p_red ~m_blue:bound ~m_red:bound

@@ -1,19 +1,33 @@
-(* Flat (CSR / SoA) graph views versus the list-based reference accessors.
+(* The DAG arena (CSR / SoA arrays) versus a list oracle.
 
-   The scheduling hot paths walk [Dag.Csr] arrays; the [succ]/[pred]/
-   [children]/[parents] lists are the specification.  The property tests
-   check full structural agreement — including float-exact in/out size
+   The oracle is rebuilt here from the insertion-order edge sequence
+   ([Dag.edge g k] for k = 0, 1, ...): a task's outgoing and incoming edge
+   lists, in eid order, are the specification of its CSR rows.  The property
+   tests check full structural agreement — including float-exact in/out size
    aggregates, whose fold order the CSR build must replicate — over the
-   differential fuzzer's DAG families, plus the builder/platform non-finite
-   input guards and a 100k-task construction smoke test. *)
+   differential fuzzer's DAG families, plus the builder/platform input
+   guards, duplicate rejection, the arena's retained size and construction
+   at scale. *)
 
 open Helpers
 
 let check_int_list msg = Alcotest.(check (list int)) msg
 
-(* Structural A/B between the CSR arrays and the list accessors. *)
+(* Outgoing and incoming edge lists per task, in eid order. *)
+let list_oracle g =
+  let n = Dag.n_tasks g in
+  let succ = Array.make n [] and pred = Array.make n [] in
+  for k = Dag.n_edges g - 1 downto 0 do
+    let e = Dag.edge g k in
+    succ.(e.Dag.src) <- e :: succ.(e.Dag.src);
+    pred.(e.Dag.dst) <- e :: pred.(e.Dag.dst)
+  done;
+  (succ, pred)
+
+(* Structural A/B between the CSR arrays and the list oracle. *)
 let check_csr_equiv g =
   let n = Dag.n_tasks g and m = Dag.n_edges g in
+  let succ, pred = list_oracle g in
   let succ_off = Dag.Csr.succ_off g
   and succ_eid = Dag.Csr.succ_eid g
   and succ_dst = Dag.Csr.succ_dst g
@@ -30,6 +44,7 @@ let check_csr_equiv g =
   and e_comm = Dag.Csr.e_comm g in
   for eid = 0 to m - 1 do
     let e = Dag.edge g eid in
+    check_int "eid" eid e.Dag.eid;
     check_int "e_src" e.Dag.src e_src.(eid);
     check_int "e_dst" e.Dag.dst e_dst.(eid);
     check_float "e_size" e.Dag.size e_size.(eid);
@@ -44,24 +59,26 @@ let check_csr_equiv g =
     check_float "w_red" t.Dag.w_red w_red.(i);
     let row off eid_arr = Array.to_list (Array.sub eid_arr off.(i) (off.(i + 1) - off.(i))) in
     let succ_row = row succ_off succ_eid and pred_row = row pred_off pred_eid in
-    check_int_list "succ eids" (List.map (fun e -> e.Dag.eid) (Dag.succ g i)) succ_row;
-    check_int_list "pred eids" (List.map (fun e -> e.Dag.eid) (Dag.pred g i)) pred_row;
-    check_int_list "succ dsts"
-      (List.map (fun e -> e.Dag.dst) (Dag.succ g i))
-      (row succ_off succ_dst);
-    check_int_list "pred srcs"
-      (List.map (fun e -> e.Dag.src) (Dag.pred g i))
-      (row pred_off pred_src);
-    check_int_list "children" (List.map (fun e -> e.Dag.dst) (Dag.succ g i)) (Dag.children g i);
-    check_int_list "parents" (List.map (fun e -> e.Dag.src) (Dag.pred g i)) (Dag.parents g i);
-    (* Same left-fold order as the historical list accessors: exact equality. *)
+    check_int_list "succ eids" (List.map (fun e -> e.Dag.eid) succ.(i)) succ_row;
+    check_int_list "pred eids" (List.map (fun e -> e.Dag.eid) pred.(i)) pred_row;
+    check_int_list "succ dsts" (List.map (fun e -> e.Dag.dst) succ.(i)) (row succ_off succ_dst);
+    check_int_list "pred srcs" (List.map (fun e -> e.Dag.src) pred.(i)) (row pred_off pred_src);
+    check_int_list "children" (List.map (fun e -> e.Dag.dst) succ.(i)) (children g i);
+    check_int_list "parents" (List.map (fun e -> e.Dag.src) pred.(i)) (parents g i);
+    (* Left folds in eid order: exact equality. *)
     let sum edges = List.fold_left (fun acc e -> acc +. e.Dag.size) 0. edges in
-    if not (Float.equal (sum (Dag.pred g i)) in_sz.(i)) then
+    if not (Float.equal (sum pred.(i)) in_sz.(i)) then
       Alcotest.failf "in_sz mismatch at task %d" i;
-    if not (Float.equal (sum (Dag.succ g i)) out_sz.(i)) then
+    if not (Float.equal (sum succ.(i)) out_sz.(i)) then
       Alcotest.failf "out_sz mismatch at task %d" i;
-    check_int "in_degree" (List.length (Dag.pred g i)) (Dag.Csr.in_degree g i);
-    check_int "out_degree" (List.length (Dag.succ g i)) (Dag.Csr.out_degree g i);
+    check_int "in_degree" (List.length pred.(i)) (Dag.Csr.in_degree g i);
+    check_int "out_degree" (List.length succ.(i)) (Dag.Csr.out_degree g i);
+    List.iter
+      (fun e ->
+        match Dag.find_edge g ~src:i ~dst:e.Dag.dst with
+        | Some f -> check_int "find_edge eid" e.Dag.eid f.Dag.eid
+        | None -> Alcotest.failf "find_edge %d->%d missed" i e.Dag.dst)
+      succ.(i);
     if Dag.Csr.in_degree g i > !max_in then max_in := Dag.Csr.in_degree g i
   done;
   check_int "max_in_degree" !max_in (Dag.Csr.max_in_degree g);
@@ -75,7 +92,7 @@ let check_csr_equiv g =
   check_int "layer_tasks length" n (Array.length layer_tasks);
   for i = 0 to n - 1 do
     let expect =
-      List.fold_left (fun acc p -> max acc (layer_of.(p) + 1)) 0 (Dag.parents g i)
+      List.fold_left (fun acc e -> max acc (layer_of.(e.Dag.src) + 1)) 0 pred.(i)
     in
     check_int "layer_of" expect layer_of.(i)
   done;
@@ -137,6 +154,31 @@ let test_builder_rejects_non_finite () =
   expect_invalid "add_edge negative" (fun () ->
       Dag.Builder.add_edge (two_tasks ()) ~src:0 ~dst:1 ~size:(-1.) ~comm:0.)
 
+(* A rejected edge leaves the builder as it was: the next accepted edge
+   takes the next eid and finalize succeeds.  Daggen relies on this when it
+   catches a duplicate and goes on. *)
+let test_rejected_edge_leaves_builder () =
+  let b = Dag.Builder.create () in
+  for _ = 1 to 3 do
+    ignore (Dag.Builder.add_task b ~w_blue:1. ~w_red:1. ())
+  done;
+  Dag.Builder.add_edge b ~src:0 ~dst:1 ~size:1. ~comm:2.;
+  Alcotest.check_raises "duplicate" (Invalid_argument "Dag.Builder.add_edge: duplicate edge")
+    (fun () -> Dag.Builder.add_edge b ~src:0 ~dst:1 ~size:5. ~comm:6.);
+  expect_invalid "dangling" (fun () -> Dag.Builder.add_edge b ~src:0 ~dst:3 ~size:1. ~comm:1.);
+  expect_invalid "nan after dedup key" (fun () ->
+      Dag.Builder.add_edge b ~src:1 ~dst:2 ~size:nan ~comm:1.);
+  Dag.Builder.add_edge b ~src:1 ~dst:2 ~size:3. ~comm:4.;
+  let g = Dag.Builder.finalize b in
+  check_int "n_edges" 2 (Dag.n_edges g);
+  let e = Dag.edge g 1 in
+  check_int "next eid src" 1 e.Dag.src;
+  check_int "next eid dst" 2 e.Dag.dst;
+  check_float "next eid size" 3. e.Dag.size;
+  check_float "kept edge size" 1. (Dag.edge g 0).Dag.size;
+  check_float "in_size" 1. (Dag.in_size g 1);
+  check_int "row" 1 (Dag.Csr.out_degree g 0)
+
 let test_platform_rejects_nan () =
   expect_invalid "m_blue nan" (fun () ->
       Platform.make ~p_blue:1 ~p_red:1 ~m_blue:nan ~m_red:1.);
@@ -182,11 +224,54 @@ let test_build_100k () =
     Alcotest.failf "finalize allocated %.0f bytes (%.0f per task+edge)" allocated
       (allocated /. elems)
 
+(* The arena is the graph's only copy: no records, lists or hash tables are
+   retained beside the arrays. *)
+let test_retained_words () =
+  let g = Lu.generate ~pipeline_broadcasts:false ~n:40 () in
+  let per_task = float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Dag.n_tasks g) in
+  if per_task > 45. then Alcotest.failf "LU n=40 retains %.1f words per task (bound 45)" per_task
+
+(* One source feeding 100 000 children: duplicate detection must not scan
+   the source's row, which would make this 5e9 comparisons.  The alarm is a
+   watchdog only; the build takes milliseconds. *)
+let test_fan_out_100k () =
+  let d = 100_000 in
+  let b = Dag.Builder.create () in
+  for _ = 0 to d do
+    ignore (Dag.Builder.add_task b ~w_blue:1. ~w_red:1. ())
+  done;
+  let exception Timeout in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timeout)) in
+  ignore (Unix.alarm 5);
+  let outcome =
+    match
+      for c = 1 to d do
+        Dag.Builder.add_edge b ~src:0 ~dst:c ~size:1. ~comm:1.
+      done;
+      Dag.Builder.add_edge b ~src:0 ~dst:d ~size:1. ~comm:1.
+    with
+    | () -> Some "duplicate of the last child accepted"
+    | exception Invalid_argument _ -> None
+    | exception Timeout -> Some "100k-child fan-out did not build within 5 s"
+  in
+  ignore (Unix.alarm 0);
+  Sys.set_signal Sys.sigalrm previous;
+  Option.iter Alcotest.fail outcome;
+  let g = Dag.Builder.finalize b in
+  check_int "out_degree" d (Dag.Csr.out_degree g 0);
+  check_int "n_layers" 2 (Dag.Csr.n_layers g);
+  check_int "last child eid" (d - 1) (Option.get (Dag.find_edge g ~src:0 ~dst:d)).Dag.eid
+
 let () =
   Alcotest.run "csr"
     [ ( "adjacency",
         [ csr_fuzz_property; Alcotest.test_case "kernel families" `Quick test_csr_kernels ] );
       ( "validation",
         [ Alcotest.test_case "builder non-finite" `Quick test_builder_rejects_non_finite;
-          Alcotest.test_case "platform nan" `Quick test_platform_rejects_nan ] );
-      ("scale", [ Alcotest.test_case "100k-task build" `Quick test_build_100k ]) ]
+          Alcotest.test_case "platform nan" `Quick test_platform_rejects_nan;
+          Alcotest.test_case "rejected edge leaves builder" `Quick
+            test_rejected_edge_leaves_builder ] );
+      ( "scale",
+        [ Alcotest.test_case "100k-task build" `Quick test_build_100k;
+          Alcotest.test_case "LU n=40 retained words" `Quick test_retained_words;
+          Alcotest.test_case "100k-child fan-out" `Quick test_fan_out_100k ] ) ]

@@ -58,8 +58,8 @@ let test_builder_rejects_negative () =
 (* ---------------------------------------------------------- accessors --- *)
 
 let test_children_parents () =
-  Alcotest.(check (list int)) "children of T1" [ 1; 2 ] (Dag.children dex 0);
-  Alcotest.(check (list int)) "parents of T4" [ 1; 2 ] (Dag.parents dex 3);
+  Alcotest.(check (list int)) "children of T1" [ 1; 2 ] (children dex 0);
+  Alcotest.(check (list int)) "parents of T4" [ 1; 2 ] (parents dex 3);
   Alcotest.(check (list int)) "sources" [ 0 ] (Dag.sources dex);
   Alcotest.(check (list int)) "sinks" [ 3 ] (Dag.sinks dex)
 
@@ -86,7 +86,7 @@ let test_critical_path () =
 
 let test_longest_path_weighted () =
   let w = Dag.longest_path dex ~node_weight:(fun i -> (Dag.task dex i).Dag.w_blue)
-      ~edge_weight:(fun e -> e.Dag.comm) in
+      ~edge_weight:(fun k -> (Dag.edge dex k).Dag.comm) in
   (* blue times: T1(3) +1+ T3(6) +1+ T4(1) = 12. *)
   check_float "blue path with comms" 12. w
 
@@ -181,6 +181,40 @@ let levels_sum_property =
         (fun (e : Dag.edge) -> bl.(e.Dag.src) >= bl.(e.Dag.dst) +. Dag.w_min g e.Dag.src -. 1e-9)
         (Dag.edges g))
 
+(* ------------------------------------------------------------- golden --- *)
+
+(* MD5 of the text format, the DOT rendering and the topological order of
+   the paper's kernel families and one large random DAG.  The digests pin the
+   graph bytes a build produces: task names and costs, edge ids (insertion
+   order) and the smallest-id-first Kahn order. *)
+let dag_bytes_golden =
+  [ ("lu16", "1da1ca34ca7b966684736eb87983f455", "ace3f8c22dba8d0df7d3ff0148c6dd51",
+     "011d4f7de04ef620276f0225dd2d14d5");
+    ("lu16-flat", "2738715a01fe60985bceb7232bcd7b34", "b50c0d1cd856d61aa6ad310334015281",
+     "bb0bbb6f042f35cd397b792843ca07f8");
+    ("cholesky12", "5a817d2267418e148f29b7247235e52d", "a9122636316f216a14466a854e2093be",
+     "1939b2adf2b5f2bc9e6c21e51dd4862b");
+    ("daggen-large-2014", "be74de4bd67ce7a3259a4c709650befe", "1e0846c9d3f64659ae0bbcea93832492",
+     "28854aa8350dd46fbc1027cc140f239b") ]
+
+let golden_dag = function
+  | "lu16" -> Lu.generate ~n:16 ()
+  | "lu16-flat" -> Lu.generate ~pipeline_broadcasts:false ~n:16 ()
+  | "cholesky12" -> Cholesky.generate ~n:12 ()
+  | "daggen-large-2014" -> Daggen.generate (Rng.create 2014) Daggen.large_rand_params
+  | label -> Alcotest.failf "unknown golden DAG %s" label
+
+let test_dag_bytes_golden () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (label, text, dot, topo) ->
+      let g = golden_dag label in
+      let order = Dag.topological_order g |> Array.to_list |> List.map string_of_int in
+      check_string (label ^ " to_string") text (hex (Dag.to_string g));
+      check_string (label ^ " to_dot") dot (hex (Dag.to_dot g));
+      check_string (label ^ " topological order") topo (hex (String.concat "," order)))
+    dag_bytes_golden
+
 let () =
   Alcotest.run "dag"
     [ ( "builder",
@@ -211,4 +245,5 @@ let () =
         [ Alcotest.test_case "bottom levels" `Quick test_bottom_levels;
           Alcotest.test_case "top levels" `Quick test_top_levels;
           Alcotest.test_case "critical parent" `Quick test_critical_parent;
-          levels_sum_property ] ) ]
+          levels_sum_property ] );
+      ("golden", [ Alcotest.test_case "DAG bytes" `Quick test_dag_bytes_golden ]) ]

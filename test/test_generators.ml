@@ -28,7 +28,7 @@ let test_fork_join () =
   let g = Toy.fork_join ~width:4 ~w:1. ~f:1. ~c:1. in
   check_int "tasks" 6 (Dag.n_tasks g);
   check_int "edges" 8 (Dag.n_edges g);
-  check_int "fork out-degree" 4 (List.length (Dag.succ g 0))
+  check_int "fork out-degree" 4 (Dag.Csr.out_degree g 0)
 
 let test_diamond () =
   let g = Toy.diamond () in
@@ -89,7 +89,7 @@ let daggen_connected_levels =
       let g = Daggen.generate (Rng.create seed) Daggen.small_rand_params in
       (* sources are exactly the first level: every other task has >= 1
          parent by construction. *)
-      List.for_all (fun i -> Dag.pred g i <> [] || List.mem i (Dag.sources g))
+      List.for_all (fun i -> Dag.Csr.in_degree g i > 0 || List.mem i (Dag.sources g))
         (List.init (Dag.n_tasks g) Fun.id))
 
 (* ------------------------------------------------------------- kernels --- *)
@@ -124,9 +124,9 @@ let test_broadcast_pipeline_shape () =
   (* d consumers need d - 1 relays; every out-degree is at most 2 and the
      producer's is 1. *)
   check_int "relays" 4 (Broadcast.n_fictitious g);
-  check_int "producer fanout" 1 (List.length (Dag.succ g 0));
+  check_int "producer fanout" 1 (Dag.Csr.out_degree g 0);
   for i = 0 to Dag.n_tasks g - 1 do
-    check_bool "fanout bounded" true (List.length (Dag.succ g i) <= 2)
+    check_bool "fanout bounded" true (Dag.Csr.out_degree g i <= 2)
   done;
   (* Consumers are all reachable: they still have exactly one input file of
      the original size. *)
@@ -166,7 +166,7 @@ let broadcast_preserves_reachability =
       let rec dfs i =
         if not reachable.(i) then begin
           reachable.(i) <- true;
-          List.iter dfs (Dag.children g i)
+          List.iter dfs (children g i)
         end
       in
       dfs 0;

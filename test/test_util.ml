@@ -1,4 +1,4 @@
-(* Tests for the utility substrate: Rng, Staircase, Pqueue, Stats, Csv,
+(* Tests for the utility substrate: Rng, Staircase, Stats, Csv,
    Table. *)
 
 open Helpers
@@ -337,60 +337,6 @@ let test_fp_cmp_edges () =
   check_bool "geq tolerates an eps undershoot" true (Fp.geq (1. -. 1e-9) 1.);
   check_bool "lt negates geq" (not (Fp.lt 1. 1.01)) (Fp.geq 1. 1.01)
 
-(* ------------------------------------------------------------- Pqueue --- *)
-
-let test_pqueue_basic () =
-  let q = Pqueue.create ~cmp:compare in
-  check_bool "empty" true (Pqueue.is_empty q);
-  Pqueue.push q 3;
-  Pqueue.push q 1;
-  Pqueue.push q 2;
-  check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (option int)) "peek" (Some 1) (Pqueue.peek q);
-  Alcotest.(check (option int)) "pop" (Some 1) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop2" (Some 2) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop3" (Some 3) (Pqueue.pop q);
-  Alcotest.(check (option int)) "drained" None (Pqueue.pop q)
-
-let test_pqueue_pop_exn () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.check_raises "empty pop_exn" (Invalid_argument "Pqueue.pop_exn: empty queue") (fun () ->
-      ignore (Pqueue.pop_exn q))
-
-let test_pqueue_custom_cmp () =
-  let q = Pqueue.of_list ~cmp:(fun a b -> compare b a) [ 1; 5; 3 ] in
-  Alcotest.(check (list int)) "max-heap order" [ 5; 3; 1 ] (Pqueue.to_sorted_list q)
-
-let pqueue_sorts =
-  qtest "pqueue drains in sorted order" QCheck.(list int) (fun l ->
-      let q = Pqueue.of_list ~cmp:compare l in
-      Pqueue.to_sorted_list q = List.sort compare l)
-
-let test_pqueue_no_leak () =
-  (* Regression for the space leak: [grow] used to fill the doubled backing
-     array with the pushed element and [pop] never cleared [data.(len)], so
-     the queue pinned popped payloads for its whole lifetime.  Popped
-     elements must become unreachable while the queue stays live. *)
-  let q = Pqueue.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  let n = 20 (* crosses two capacity doublings, exercising [grow]'s blit *) in
-  let w = Weak.create n in
-  for k = 0 to n - 1 do
-    let payload = (k, Bytes.create 64) in
-    Weak.set w k (Some payload);
-    Pqueue.push q payload
-  done;
-  for _ = 1 to n do
-    ignore (Pqueue.pop q)
-  done;
-  Gc.full_major ();
-  let leaked = ref 0 in
-  for k = 0 to n - 1 do
-    if Weak.check w k then incr leaked
-  done;
-  check_int "popped payloads unreachable" 0 !leaked;
-  Pqueue.push q (0, Bytes.create 1);
-  check_int "queue still usable" 1 (Pqueue.length q)
-
 (* -------------------------------------------------------------- Stats --- *)
 
 let test_stats_mean () =
@@ -439,6 +385,45 @@ let test_csv_write_roundtrip () =
 let test_csv_float_cell () =
   check_string "int-like" "2" (Csv.float_cell 2.);
   check_string "inf" "inf" (Csv.float_cell infinity)
+
+(* ---------------------------------------------------------- Int_table --- *)
+
+(* Random add / replace / find sequences against a Hashtbl oracle.  Keys are
+   drawn from a small range (so they repeat) or shifted into the high bits
+   (the [(src lsl 31) lor dst] shape of the DAG builder), and the run is
+   long enough to cross several doublings. *)
+let int_table_matches_hashtbl =
+  qtest ~count:50 "int table = Hashtbl" seed_arb (fun seed ->
+      let rng = Rng.create seed in
+      let t = Int_table.create 0 and h = Hashtbl.create 16 in
+      let ok = ref true in
+      for v = 0 to 2000 do
+        let key =
+          if Rng.bool rng then Rng.int rng 300 else (Rng.int rng 40 lsl 31) lor Rng.int rng 40
+        in
+        (match Rng.int rng 3 with
+        | 0 ->
+          let fresh = not (Hashtbl.mem h key) in
+          if Int_table.add t key v <> fresh then ok := false;
+          if fresh then Hashtbl.replace h key v
+        | 1 ->
+          Int_table.replace t key v;
+          Hashtbl.replace h key v
+        | _ -> ());
+        let expect = Option.value (Hashtbl.find_opt h key) ~default:(-7) in
+        if Int_table.find t key ~default:(-7) <> expect then ok := false
+      done;
+      for key = 0 to 299 do
+        let expect = Option.value (Hashtbl.find_opt h key) ~default:(-7) in
+        if Int_table.find t key ~default:(-7) <> expect then ok := false
+      done;
+      !ok)
+
+let test_int_table_negative_key () =
+  let t = Int_table.create 4 in
+  Alcotest.check_raises "add" (Invalid_argument "Int_table.add: negative key") (fun () ->
+      ignore (Int_table.add t (-1) 0));
+  check_int "find" 5 (Int_table.find t (-1) ~default:5)
 
 (* -------------------------------------------------------------- Radix --- *)
 
@@ -550,12 +535,9 @@ let () =
           Alcotest.test_case "lb_plus cases" `Quick test_fp_lb_plus_exact;
           fp_cmp_agree;
           Alcotest.test_case "comparator edges" `Quick test_fp_cmp_edges ] );
-      ( "pqueue",
-        [ Alcotest.test_case "basic" `Quick test_pqueue_basic;
-          Alcotest.test_case "pop_exn" `Quick test_pqueue_pop_exn;
-          Alcotest.test_case "custom cmp" `Quick test_pqueue_custom_cmp;
-          Alcotest.test_case "no space leak" `Quick test_pqueue_no_leak;
-          pqueue_sorts ] );
+      ( "int_table",
+        [ int_table_matches_hashtbl;
+          Alcotest.test_case "negative key" `Quick test_int_table_negative_key ] );
       ( "radix",
         [ radix_matches_stable_sort;
           Alcotest.test_case "short buffers rejected" `Quick test_radix_short_buffers ] );

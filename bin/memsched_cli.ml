@@ -167,10 +167,7 @@ let schedule_cmd =
       Printf.printf "infeasible: %s\n" f.Heuristics.reason;
       `Ok ()
     | Ok s ->
-      let check_platform =
-        if Heuristics.is_memory_aware heuristic then platform
-        else Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity
-      in
+      let check_platform = Heuristics.validation_platform heuristic platform in
       (match Validator.validate g check_platform s with
       | Ok r ->
         Printf.printf "%s: makespan=%g peaks=(%g, %g)\n"

@@ -20,12 +20,6 @@ type t = {
 
 let heuristic_names = Heuristics.all_names @ Heuristics.extension_names
 
-let unbounded_of p = Platform.with_bounds p ~m_blue:infinity ~m_red:infinity
-
-(* Validation platform: memory-oblivious heuristics plan against unbounded
-   memories, so their schedules are only held to the unbounded constraints. *)
-let check_platform p name = if Heuristics.is_memory_aware name then p else unbounded_of p
-
 let verdict_of_errors = function [] -> Pass | errs -> Fail (List.rev errs)
 
 (* Bit-identical float equality, spelled with [Float.compare] so the exact
@@ -56,7 +50,7 @@ let o_validator =
         | Ok s -> (
           match
             Validator.validate ~eps:cfg.eps i.Fuzz_instance.dag
-              (check_platform i.Fuzz_instance.platform name)
+              (Heuristics.validation_platform name i.Fuzz_instance.platform)
               s
           with
           | Ok _ -> ()
@@ -82,7 +76,7 @@ let o_lower_bound =
         match Heuristics.run name g p with
         | Error _ -> ()
         | Ok s ->
-          let ms = Schedule.makespan g (check_platform p name) s in
+          let ms = Schedule.makespan g (Heuristics.validation_platform name p) s in
           if ms +. tol < lb then
             errs :=
               Printf.sprintf "%s: makespan %.17g beats the lower bound %.17g"

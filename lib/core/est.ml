@@ -235,9 +235,15 @@ let estimate_ready c i q =
   walk c i q q;
   finish c i q
 
+(* Filled in a loop rather than by [Array.init c.n_pools (finish c i)],
+   whose partial application allocates a closure on every probe. *)
 let estimates_ready c i =
   walk c i 0 (c.n_pools - 1);
-  Array.init c.n_pools (finish c i)
+  let es = Array.make c.n_pools None in
+  for q = 0 to c.n_pools - 1 do
+    es.(q) <- finish c i q
+  done;
+  es
 
 (* Minimum-EFT choice with the paper's tie-breaking (earlier EST, then the
    first argument — the lower pool when folded in pool order). *)

@@ -7,90 +7,109 @@ type result = (Schedule.t, failure) Result.t
 
 let fail state reason = Error { reason; n_scheduled = Sched_state.n_assigned state }
 
-(* Algorithm 1 (MemHEFT).  The outer loop repeatedly scans the priority list
-   and commits the first task that is ready and memory-feasible; a full scan
-   without a commit means the graph cannot be processed within the bounds.
-   Committed tasks are unlinked from the scan order (a doubly linked list
-   over priority positions, sentinel at [n]), so later rounds only touch the
-   tasks still to be placed instead of re-testing the whole list. *)
+(* Algorithm 1 (MemHEFT), the one copy of its loop: each round scans
+   [order] and commits the first task that is ready and memory-feasible,
+   its release floor lifted into every pool before the min-EFT choice; a
+   full scan without a commit ends the loop.  Committed tasks are unlinked
+   from the scan (a singly linked list over positions, sentinel at [m], the
+   scan tracking the predecessor), so later rounds only touch the tasks
+   still to be placed. *)
+let memheft_loop state ~not_before order =
+  let m = Array.length order in
+  let next = Array.make (m + 1) m in
+  let last = ref m in
+  for k = 0 to m - 1 do
+    if not (Sched_state.is_assigned state order.(k)) then begin
+      next.(!last) <- k;
+      last := k
+    end
+  done;
+  let rec round () =
+    let committed = ref false in
+    let prev = ref m in
+    let k = ref next.(m) in
+    while (not !committed) && !k <> m do
+      let i = order.(!k) in
+      (if Sched_state.is_ready state i then
+         match Sched_state.best_estimate state ~not_before i with
+         | Some e ->
+           Sched_state.commit state e;
+           next.(!prev) <- next.(!k);
+           committed := true
+         | None -> ());
+      prev := !k;
+      k := next.(!k)
+    done;
+    if !committed && next.(m) <> m then round ()
+  in
+  round ()
+
+(* The end of an offline run: complete, or stuck with [n_scheduled] tasks. *)
+let outcome state =
+  if Sched_state.n_assigned state = Dag.n_tasks (Sched_state.graph state) then
+    Ok (Sched_state.schedule state)
+  else fail state "no ready task fits within the memory bounds"
+
 let memheft_run ?options ?rng ?ranks ?durations g platform =
   let state = Sched_state.create ?options ?durations g platform in
   let ranks = match ranks with Some r -> r | None -> Rank.upward_ranks ?durations g in
-  let order = Rank.priority_list ?rng ~ranks g in
-  let n = Dag.n_tasks g in
-  let next = Array.init (n + 1) (fun k -> (k + 1) mod (n + 1)) in
-  let prev = Array.init (n + 1) (fun k -> (k + n) mod (n + 1)) in
-  let unlink k =
-    next.(prev.(k)) <- next.(k);
-    prev.(next.(k)) <- prev.(k)
-  in
-  let remaining = ref n in
-  let rec round () =
-    if !remaining = 0 then Ok (Sched_state.schedule state)
-    else begin
-      let committed = ref false in
-      let k = ref next.(n) in
-      while (not !committed) && !k <> n do
-        let i = order.(!k) in
-        if Sched_state.is_ready state i then begin
-          match Sched_state.best_estimate state i with
-          | Some e ->
-            Sched_state.commit state e;
-            unlink !k;
-            decr remaining;
-            committed := true
-          | None -> ()
-        end;
-        k := next.(!k)
-      done;
-      if !committed then round ()
-      else fail state "no ready task fits within the memory bounds"
-    end
-  in
-  (state, round ())
+  memheft_loop state ~not_before:(Array.make (Dag.n_tasks g) 0.) (Rank.priority_list ?rng ~ranks g);
+  (state, outcome state)
 
 let memheft ?options ?rng ?ranks ?durations g platform =
   snd (memheft_run ?options ?rng ?ranks ?durations g platform)
 
-(* The dynamic-selection loop shared by MemMinMin and its extensions: each
-   round scores every ready task by [select] over its per-pool estimates and
-   commits the task with the highest score; on equal scores the task met
-   first in ready-set order stays. *)
-let dynamic_run ?options ?durations ~select g platform =
-  let state = Sched_state.create ?options ?durations g platform in
-  let n = Dag.n_tasks g in
+(* Algorithm 2's selection, shared by MemMinMin and its extensions: each
+   round scores every candidate by [select] over its per-pool estimates
+   (release floors lifted) and commits the candidate with the highest
+   score; on equal scores the candidate met first stays.  A round that
+   finds no feasible candidate ends the loop. *)
+let dynamic_loop state ~not_before ~iter ~select =
+  let n = Dag.n_tasks (Sched_state.graph state) in
+  let best = ref None in
+  let probe i =
+    (* Every pool from a single predecessor walk; the winner is derived
+       from the estimates already in hand with the exact comparison
+       best_estimate uses. *)
+    let estimates = Sched_state.estimates state ~not_before i in
+    match Sched_state.best_of estimates with
+    | Some e ->
+      let score = select ~best:e ~estimates in
+      (match !best with
+      | Some (s, _) when s >= score -> ()
+      | _ -> best := Some (score, e))
+    | None -> ()
+  in
   let rec round () =
-    if Sched_state.n_assigned state = n then Ok (Sched_state.schedule state)
-    else begin
-      let best = ref None in
-      Sched_state.iter_ready state (fun i ->
-          (* Every pool from a single predecessor walk; the winner is
-             derived from the estimates already in hand with the exact
-             comparison best_estimate uses. *)
-          let estimates = Sched_state.estimates state i in
-          match Sched_state.best_of estimates with
-          | Some e ->
-            let score = select ~best:e ~estimates in
-            (match !best with
-            | Some (s, _) when s >= score -> ()
-            | _ -> best := Some (score, e))
-          | None -> ());
+    if Sched_state.n_assigned state < n then begin
+      best := None;
+      iter probe;
       match !best with
       | Some (_, e) ->
         Sched_state.commit state e;
         round ()
-      | None -> fail state "no ready task fits within the memory bounds"
+      | None -> ()
     end
   in
-  (state, round ())
+  round ()
+
+let dynamic_run ?options ?durations ~select g platform =
+  let state = Sched_state.create ?options ?durations g platform in
+  let not_before = Array.make (Dag.n_tasks g) 0. in
+  dynamic_loop state ~not_before ~iter:(Sched_state.iter_ready state) ~select;
+  (state, outcome state)
 
 (* Algorithm 2 (MemMinMin).  Among ready tasks, schedule the one with the
    smallest earliest finish time; ties break by task id.  The score is the
    negated EFT, so [s >= score] keeps the incumbent exactly when its EFT is
    no larger. *)
+let minmin_select ~best ~estimates:_ = -.best.Sched_state.eft
+
+let memminmin_loop state ~not_before ~iter =
+  dynamic_loop state ~not_before ~iter ~select:minmin_select
+
 let memminmin_run ?options ?durations g platform =
-  let select ~best ~estimates:_ = -.best.Sched_state.eft in
-  dynamic_run ?options ?durations ~select g platform
+  dynamic_run ?options ?durations ~select:minmin_select g platform
 
 let memminmin ?options ?durations g platform = snd (memminmin_run ?options ?durations g platform)
 
@@ -252,6 +271,11 @@ let extension_names = [ MaxMin; Sufferage; MemMaxMin; MemSufferage ]
 let is_memory_aware = function
   | HEFT | MinMin | MaxMin | Sufferage -> false
   | MemHEFT | MemMinMin | MemMaxMin | MemSufferage -> true
+
+(* Memory-oblivious heuristics plan against unbounded memories, so their
+   schedules are only held to the unbounded constraints. *)
+let validation_platform name platform =
+  if is_memory_aware name then platform else unbounded_platform platform
 
 let run ?options ?rng ?ranks name g platform =
   match name with

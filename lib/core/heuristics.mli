@@ -55,6 +55,30 @@ val memminmin_run :
   Sched_state.t * result
 (** {!memminmin} with its final state, as {!memheft_run}. *)
 
+(** {2 The paper's two loops}
+
+    The only production copies of Algorithm 1's scan and Algorithm 2's
+    selection.  Each runs on a state the caller made and commits into it;
+    [not_before.(i)] is task [i]'s release floor, lifted into every pool's
+    estimate before the min-EFT choice ({!Sched_state.estimates}).  Offline
+    callers pass zero floors, which never bind.  A loop returns when a full
+    pass commits nothing, so the caller reads {!Sched_state.n_assigned} and
+    words any failure itself. *)
+
+val memheft_loop : Sched_state.t -> not_before:float array -> int array -> unit
+(** Algorithm 1 over a priority order: repeatedly commit the first task of
+    the order that is ready and fits, then rescan from the head.  Tasks of
+    the order already assigned on entry are skipped.  The caller decides
+    which tasks the order holds (the online planner passes released tasks
+    only). *)
+
+val memminmin_loop :
+  Sched_state.t -> not_before:float array -> iter:((int -> unit) -> unit) -> unit
+(** Algorithm 2 over a candidate set: repeatedly commit, among the tasks
+    [iter] enumerates, the one with the smallest earliest finish time (ties:
+    the candidate met first).  [iter] must enumerate ready tasks only and
+    is re-run after every commit. *)
+
 val memheft_reference :
   ?options:Sched_state.options -> ?rng:Rng.t -> Dag.t -> Platform.t -> result
 (** Pre-optimisation MemHEFT, kept verbatim (full priority-list rescans,
@@ -127,6 +151,11 @@ val extension_names : name list
 (** The MaxMin/Sufferage family (extensions beyond the paper). *)
 
 val is_memory_aware : name -> bool
+
+val validation_platform : name -> Platform.t -> Platform.t
+(** The platform a heuristic's schedule is validated against: the platform
+    itself for a memory-aware heuristic, {!unbounded_platform} for a
+    memory-oblivious one, which plans against unbounded memories. *)
 
 val run :
   ?options:Sched_state.options ->

@@ -11,10 +11,7 @@ type t = {
 let run ?options ?rng ?ranks heuristic g platform =
   (* The memory-oblivious baselines ignore the bounds; validate them against
      unbounded capacities and report their measured peaks. *)
-  let check_platform =
-    if Heuristics.is_memory_aware heuristic then platform
-    else Heuristics.unbounded_platform platform
-  in
+  let check_platform = Heuristics.validation_platform heuristic platform in
   match Heuristics.run ?options ?rng ?ranks heuristic g platform with
   | Ok s -> (
     match Validator.validate g check_platform s with

@@ -294,14 +294,32 @@ type estimate = Est.estimate = {
 
 let estimate t i q = if not (is_ready t i) then None else Est.estimate_ready t.est_ctx i q
 
-let estimates t i =
+(* The one place a release floor enters an estimate: [est' = max(est,
+   not_before)], [eft' = est' + W^(pool)] recomputed from the durations (not
+   shifted).  An estimate the floor does not bind is returned as is. *)
+let lift_estimate t ~not_before e =
+  if e.est >= not_before then e
+  else { e with est = not_before; eft = not_before +. t.durations.(e.pool).(e.task) }
+
+(* Lifted in place, so a probe whose floor binds nowhere allocates nothing
+   beyond the estimates themselves. *)
+let estimates t ~not_before i =
   if not (is_ready t i) then Array.make (Platform.n_pools t.platform) None
-  else Est.estimates_ready t.est_ctx i
+  else begin
+    let es = Est.estimates_ready t.est_ctx i in
+    let floor = not_before.(i) in
+    for q = 0 to Array.length es - 1 do
+      match es.(q) with
+      | Some e when e.est < floor -> es.(q) <- Some (lift_estimate t ~not_before:floor e)
+      | _ -> ()
+    done;
+    es
+  end
 
 let best_of = Est.best_of
 
-let best_estimate t i =
-  if not (is_ready t i) then None else Est.best_of (Est.estimates_ready t.est_ctx i)
+let best_estimate t ~not_before i =
+  if not (is_ready t i) then None else best_of (estimates t ~not_before i)
 
 (* Processor of pool [q] minimising idle time before a task starting at
    [start] with duration [w] (paper: maximise avail among procs available by

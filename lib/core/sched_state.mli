@@ -119,17 +119,30 @@ val estimate : t -> int -> int -> estimate option
     pool [q] (the paper's [EFT = +infinity] case).  Evaluated by {!Est}
     over the flat CSR views: one allocation-free predecessor walk. *)
 
-val estimates : t -> int -> estimate option array
-(** Every pool's {!estimate} from a single predecessor walk — bit-identical
-    to one call per pool.  All [None] when the task is not ready. *)
+val lift_estimate : t -> not_before:float -> estimate -> estimate
+(** Applies a release floor: [est' = max(est, not_before)] and
+    [eft' = est' + W^(pool)], recomputed from the state's durations rather
+    than shifted.  Returns the estimate itself when the floor does not bind.
+    Lifting keeps a feasible estimate feasible under [Earliest_available]:
+    staircase feasibility is a suffix minimum (later suffixes have no
+    smaller minimum), transfer windows move later with the start, and every
+    processor available by [est] is still available by [est']. *)
+
+val estimates : t -> not_before:float array -> int -> estimate option array
+(** [estimates t ~not_before i]: every pool's {!estimate} from a single
+    predecessor walk — bit-identical to one call per pool — each lifted by
+    the task's release floor [not_before.(i)] ({!lift_estimate}).  Zero
+    floors never bind.  All [None] when the task is not ready. *)
 
 val best_of : estimate option array -> estimate option
 (** The minimum-EFT choice used by {!best_estimate} (ties: earlier EST, then
-    the lower pool).  Exposed so callers that already hold (or adjust) the
-    per-pool estimates derive the winner with the same comparison. *)
+    the lower pool).  Exposed so callers that already hold the per-pool
+    estimates derive the winner with the same comparison. *)
 
-val best_estimate : t -> int -> estimate option
-(** [best_of (estimates t i)]. *)
+val best_estimate : t -> not_before:float array -> int -> estimate option
+(** [best_of (estimates t ~not_before i)]: floors are lifted into each pool
+    before the comparison, so a floor can flip the winning pool when it
+    erases another pool's head start. *)
 
 val commit : t -> estimate -> unit
 (** Applies a decision: picks the processor minimising idle time (or the

@@ -16,13 +16,15 @@ let baseline platform dag =
   let ranks = Rank.upward_ranks dag in
   let heft_schedule, (heft_blue, heft_red) = Heuristics.heft_measured ~ranks dag platform in
   let minmin_schedule, (minmin_blue, minmin_red) = Heuristics.minmin_measured dag platform in
-  let unbounded = Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity in
+  let makespan name s =
+    (Validator.validate_exn dag (Heuristics.validation_platform name platform) s).Validator.makespan
+  in
   {
     dag;
     ranks;
-    heft_makespan = (Validator.validate_exn dag unbounded heft_schedule).Validator.makespan;
+    heft_makespan = makespan Heuristics.HEFT heft_schedule;
     heft_peak = Float.max heft_blue heft_red;
-    minmin_makespan = (Validator.validate_exn dag unbounded minmin_schedule).Validator.makespan;
+    minmin_makespan = makespan Heuristics.MinMin minmin_schedule;
     minmin_peak = Float.max minmin_blue minmin_red;
     lower_bound = Lower_bound.makespan dag platform;
   }

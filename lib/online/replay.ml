@@ -11,8 +11,8 @@
    Divergence handling is the rescheduling policy.  [No_repair] gives up —
    the baseline measuring how brittle a committed plan is.  [Rerank_repair]
    abandons the remaining decision suffix and re-places every not-yet-started
-   task MemHEFT-style: upward ranks recomputed on the full realized graph,
-   priority scan, release floors still honoured, caps still enforced.
+   task with MemHEFT's own loop: upward ranks recomputed on the full
+   realized graph, release floors still honoured, caps still enforced.
 
    At noise level 0 the realized graph is bit-identical to the planned one,
    every estimate reproduces the planner's, and the replay returns the
@@ -34,54 +34,22 @@ type outcome = {
 let fail state reason =
   Error { Heuristics.reason; n_scheduled = Sched_state.n_assigned state }
 
-(* MemHEFT-style repair pass over every unassigned task of the realized
-   graph.  Ranks come from the full graph (all tasks have arrived by the
-   time a repair is contemplated — their costs just changed), floors from
-   the plan's release times. *)
+(* Repair is Algorithm 1 over every unassigned task of the realized graph.
+   Ranks come from the full graph (all tasks have arrived by the time a
+   repair is contemplated — their costs just changed), floors from the
+   plan's release times. *)
 let repair state ~not_before =
   let g = Sched_state.graph state in
-  let n = Dag.n_tasks g in
-  let rank = Rank.upward_ranks g in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if not (Sched_state.is_assigned state i) then acc := i :: !acc
-  done;
-  let order = Array.of_list !acc in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare rank.(b) rank.(a) in
-      if c <> 0 then c else compare a b)
-    order;
-  let m = Array.length order in
-  let taken = Array.make m false in
-  let placed = ref 0 in
-  let progress = ref true in
-  while !progress && !placed < m do
-    progress := false;
-    let k = ref 0 in
-    while (not !progress) && !k < m do
-      if not taken.(!k) then begin
-        let i = order.(!k) in
-        let lift = Option.map (Online.lift_estimate state ~not_before:not_before.(i)) in
-        match Sched_state.best_of (Array.map lift (Sched_state.estimates state i)) with
-        | Some e ->
-          Sched_state.commit state e;
-          taken.(!k) <- true;
-          incr placed;
-          progress := true
-        | None -> ()
-      end;
-      incr k
-    done
-  done;
-  if !placed = m then Ok !placed
+  let before = Sched_state.n_assigned state in
+  Heuristics.memheft_loop state ~not_before (Rank.priority_list ~ranks:(Rank.upward_ranks g) g);
+  if Sched_state.n_assigned state = Dag.n_tasks g then Ok (Sched_state.n_assigned state - before)
   else fail state "repair stuck: no unassigned task fits within the memory bounds"
 
-let run ?options ~policy (plan : Online.plan) realized platform =
+let run ~policy (plan : Online.plan) realized platform =
   let n = Dag.n_tasks realized in
   if List.length plan.Online.p_decisions <> n then
     invalid_arg "Replay.run: plan does not cover the realized graph";
-  let state = Sched_state.create ?options realized platform in
+  let state = Sched_state.create realized platform in
   let not_before = Array.make n 0. in
   List.iter
     (fun (d : Online.decision) -> not_before.(d.Online.d_task) <- d.Online.d_not_before)
@@ -93,7 +61,7 @@ let run ?options ~policy (plan : Online.plan) realized platform =
       let i = d.Online.d_task in
       match Sched_state.estimate state i d.Online.d_pool with
       | Some e ->
-        Sched_state.commit state (Online.lift_estimate state ~not_before:not_before.(i) e);
+        Sched_state.commit state (Sched_state.lift_estimate state ~not_before:not_before.(i) e);
         incr replayed;
         follow rest
       | None -> (

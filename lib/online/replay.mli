@@ -6,7 +6,10 @@
     decisions stand.  Memory caps are enforced by the estimate machinery: a
     planned decision whose realized footprint no longer fits yields no
     estimate, which is a {e divergence} and triggers the rescheduling
-    policy.
+    policy.  Planned decisions keep their release floors
+    ({!Sched_state.lift_estimate}); the replay runs the default
+    [Earliest_available] processor policy, under which a lifted estimate
+    stays feasible.
 
     At noise level [0.] the realized graph is bit-identical to the planned
     one and the replay returns the planned schedule bit-for-bit. *)
@@ -15,9 +18,9 @@ type policy =
   | No_repair  (** divergence fails the replay — the brittleness baseline *)
   | Rerank_repair
       (** divergence abandons the remaining decisions and re-places every
-          not-yet-started task MemHEFT-style on the realized graph: fresh
-          upward ranks, release floors still honoured, caps still
-          enforced *)
+          not-yet-started task with MemHEFT's loop
+          ({!Heuristics.memheft_loop}) on the realized graph: fresh upward
+          ranks, release floors still honoured, caps still enforced *)
 
 val policy_label : policy -> string
 (** ["norepair" | "rerank"]. *)
@@ -32,7 +35,6 @@ type outcome = {
 }
 
 val run :
-  ?options:Sched_state.options ->
   policy:policy ->
   Online.plan ->
   Dag.t ->

@@ -12,13 +12,10 @@
    raises is folded into a structured [Failure] response so one poisoned
    request can never take the daemon down. *)
 
-(* Memory-oblivious heuristics plan against unbounded memories, so their
-   schedules are only held to the unbounded constraints (same convention as
-   the CLI and the fuzz oracles). *)
+(* Multistart and the exact search are memory-aware. *)
 let check_platform platform = function
-  | Wire.Heuristic name when not (Heuristics.is_memory_aware name) ->
-    Platform.with_bounds platform ~m_blue:infinity ~m_red:infinity
-  | _ -> platform
+  | Wire.Heuristic name -> Heuristics.validation_platform name platform
+  | Wire.Multistart | Wire.Exact -> platform
 
 let ok_of_schedule (req : Wire.request) ~proof (s : Schedule.t) =
   match Validator.validate req.Wire.dag (check_platform req.Wire.platform req.Wire.algo) s with

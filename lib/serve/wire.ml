@@ -183,6 +183,17 @@ let r_count c ~per ~what =
 
 (* ----------------------------------------------------------- request --- *)
 
+let max_procs_per_pool = 65_536
+let max_restarts = 1_024
+let max_node_limit = 10_000_000
+
+(* A u32 field the dispatcher sizes work or memory by, refused above its
+   admission cap as soon as it is read — before the DAG. *)
+let r_capped c ~cap ~what =
+  let v = r_u32 c in
+  if v > cap then raise (Fail (Printf.sprintf "%s %d exceeds the admission cap %d" what v cap));
+  v
+
 let encode_request_body b (r : request) =
   w_i64 b r.id;
   w_u8 b (algo_byte r.algo);
@@ -220,10 +231,10 @@ let decode_request_body c =
     | None -> raise (Fail (Printf.sprintf "unknown algorithm byte %d" a))
   in
   let seed = r_i64 c in
-  let restarts = r_u32 c in
-  let node_limit = r_u32 c in
-  let p_blue = r_u32 c in
-  let p_red = r_u32 c in
+  let restarts = r_capped c ~cap:max_restarts ~what:"restarts" in
+  let node_limit = r_capped c ~cap:max_node_limit ~what:"node_limit" in
+  let p_blue = r_capped c ~cap:max_procs_per_pool ~what:"p_blue" in
+  let p_red = r_capped c ~cap:max_procs_per_pool ~what:"p_red" in
   let m_blue = r_f64 c in
   let m_red = r_f64 c in
   let platform = Platform.make ~p_blue ~p_red ~m_blue ~m_red in

@@ -22,6 +22,18 @@ val max_frame : int
 
 (** {1 Requests} *)
 
+val max_procs_per_pool : int
+(** Admission cap on [p_blue] and [p_red] (65,536).  Like {!max_restarts}
+    and {!max_node_limit}, a request above it decodes to {!Malformed}
+    before its DAG is read: the dispatcher allocates per processor, per
+    restart and per search node, so a forged u32 must not reach it. *)
+
+val max_restarts : int
+(** Admission cap on [restarts] (1,024). *)
+
+val max_node_limit : int
+(** Admission cap on [node_limit] (10{^7}). *)
+
 type algo =
   | Heuristic of Heuristics.name  (** one deterministic pass, bytes 0–7 *)
   | Multistart  (** MemHEFT multistart; [restarts]/[seed] options apply *)

@@ -47,3 +47,16 @@ let validate_ok g p s =
   match Validator.validate g p s with
   | Ok r -> r
   | Error errs -> Alcotest.failf "invalid schedule:\n%s" (String.concat "\n" errs)
+
+(* Hex-float rendering of every schedule array (starts, procs, comm_starts):
+   any change to one bit of any start, processor or transfer time changes
+   the text, so digests of it pin schedules bit for bit. *)
+let add_schedule_text b (s : Schedule.t) =
+  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h;" x)) s.Schedule.starts;
+  Array.iter (fun p -> Buffer.add_string b (Printf.sprintf "%d;" p)) s.Schedule.procs;
+  Array.iter
+    (fun c ->
+      match c with
+      | None -> Buffer.add_string b "_;"
+      | Some x -> Buffer.add_string b (Printf.sprintf "%h;" x))
+    s.Schedule.comm_starts

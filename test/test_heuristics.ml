@@ -161,7 +161,7 @@ let test_estimate_memory_infeasible () =
   let st = Sched_state.create g p in
   let _ = commit_on st 0 blue in
   check_bool "red infeasible" true (Sched_state.estimate st 1 red = None);
-  (match Sched_state.best_estimate st 1 with
+  (match Sched_state.best_estimate st ~not_before:(Array.make (Dag.n_tasks g) 0.) 1 with
   | Some e -> check_bool "falls back to blue" true (e.Sched_state.pool = blue)
   | None -> Alcotest.fail "blue should fit")
 

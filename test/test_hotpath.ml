@@ -19,16 +19,9 @@
 
 open Helpers
 
-let digest_schedule (s : Schedule.t) =
+let digest_schedule s =
   let b = Buffer.create 4096 in
-  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h;" x)) s.Schedule.starts;
-  Array.iter (fun p -> Buffer.add_string b (Printf.sprintf "%d;" p)) s.Schedule.procs;
-  Array.iter
-    (fun c ->
-      match c with
-      | None -> Buffer.add_string b "_;"
-      | Some x -> Buffer.add_string b (Printf.sprintf "%h;" x))
-    s.Schedule.comm_starts;
+  add_schedule_text b s;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let digest_result = function

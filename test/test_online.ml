@@ -140,10 +140,23 @@ let test_batch_equals_offline =
       List.iter
         (fun cap ->
           let p = platform cap in
-          let check_algo algo offline =
-            match (Online.plan ~algo ~arrival:Arrival.Batch g p, offline ()) with
+          let check_algo algo offline_run =
+            let state, offline = offline_run g p in
+            match (Online.plan ~algo ~arrival:Arrival.Batch g p, offline) with
             | Ok plan, Ok s ->
-              check_schedule_bits (Online.algo_label algo) plan.Online.p_schedule s
+              let label = Online.algo_label algo in
+              check_schedule_bits label plan.Online.p_schedule s;
+              (* The decision list is the offline commit order, every floor
+                 zero. *)
+              let decisions = plan.Online.p_decisions in
+              Alcotest.(check (list (pair int int)))
+                (label ^ ": decisions")
+                (List.map
+                   (fun i -> (i, Platform.pool_of_proc p s.Schedule.procs.(i)))
+                   (Sched_state.commit_order state))
+                (List.map (fun (d : Online.decision) -> (d.Online.d_task, d.Online.d_pool)) decisions);
+              check_bool (label ^ ": zero floors") true
+                (List.for_all (fun (d : Online.decision) -> Float.equal d.Online.d_not_before 0.) decisions)
             | Error f, Error f' ->
               (* The reasons differ textually ("released"); the stuck point
                  must not. *)
@@ -151,22 +164,9 @@ let test_batch_equals_offline =
             | Ok _, Error _ | Error _, Ok _ ->
               Alcotest.fail "online Batch and offline disagree on feasibility"
           in
-          check_algo Online.Heft_like (fun () -> Heuristics.memheft g p);
-          check_algo Online.Minmin_like (fun () -> Heuristics.memminmin g p))
+          check_algo Online.Heft_like (fun g p -> Heuristics.memheft_run g p);
+          check_algo Online.Minmin_like (fun g p -> Heuristics.memminmin_run g p))
         [ infinity; 60. ];
-      true)
-
-let test_plan_of_offline_equals_batch =
-  qtest ~count:25 "plan_of_offline agrees with plan ~arrival:Batch" seed_arb (fun seed ->
-      let g = dag_of_seed ~size:14 seed in
-      let p = platform infinity in
-      List.iter
-        (fun algo ->
-          let a = plan_exn (Online.plan ~algo ~arrival:Arrival.Batch g p) in
-          let b = plan_exn (Online.plan_of_offline ~algo g p) in
-          check_schedule_bits "offline plan schedule" a.Online.p_schedule b.Online.p_schedule;
-          check_bool "same decision sequence" true (a.Online.p_decisions = b.Online.p_decisions))
-        [ Online.Heft_like; Online.Minmin_like ];
       true)
 
 let test_release_floors_respected =
@@ -291,6 +291,39 @@ let test_replay_divergence_rerank_recovers () =
     check_int "everything repaired" 2 o.Replay.o_repaired;
     check_bool "caps respected at repair time" true (r.Validator.peak_blue <= 5.)
 
+(* Repair is Algorithm 1: when the very first planned decision no longer
+   fits — its pool cut below the task's realized output — nothing is
+   replayed, and re-rank repair from the empty state with the Batch plan's
+   zero floors must be offline MemHEFT on the realized graph, bit for bit. *)
+let test_repair_is_memheft =
+  qtest ~count:40 "repair of a fully diverged replay is offline MemHEFT" seed_arb (fun seed ->
+      let g = dag_of_seed ~size:14 seed in
+      let p = platform infinity in
+      let plan = plan_exn (Online.plan ~algo:Online.Heft_like ~arrival:Arrival.Batch g p) in
+      let realized = Noise.perturb (Noise.spec ~seed ~level:0.3 ()) g in
+      match plan.Online.p_decisions with
+      | [] -> true
+      | first :: _ ->
+        let out = Dag.out_size realized first.Online.d_task in
+        if out <= 0. then true
+        else begin
+          let caps =
+            List.init (Platform.n_pools p) (fun q ->
+                if q = first.Online.d_pool then out /. 2. else Platform.pool_capacity p q)
+          in
+          let p' = Platform.with_capacities p caps in
+          let repaired = Replay.run ~policy:Replay.Rerank_repair plan realized p' in
+          match (Heuristics.memheft realized p', repaired) with
+          | Error _, _ -> true (* MemHEFT itself fails on the cut platform *)
+          | Ok s, Ok o ->
+            check_int "nothing replayed" 0 o.Replay.o_replayed;
+            check_int "everything repaired" (Dag.n_tasks g) o.Replay.o_repaired;
+            check_schedule_bits "repair = MemHEFT" s o.Replay.o_schedule;
+            true
+          | Ok _, Error f ->
+            Alcotest.failf "repair failed where MemHEFT succeeds: %s" f.Heuristics.reason
+        end)
+
 let test_planted_cap_violation_rejected () =
   (* Mutation: pretend the planned schedule ran unchanged while the file
      grew past the planned memory's capacity.  Only sizes are inflated —
@@ -365,6 +398,155 @@ let test_scenario_summary_counts () =
       end)
     summaries
 
+(* ------------------------------------------------------------- pins --- *)
+
+(* MD5 pins of the online planner and the replay engine, captured from the
+   planner that drained each epoch with its own MemHEFT scan and MinMin
+   selection: any change to one bit of a decision, release floor, start,
+   transfer, makespan or peak changes a digest.  The grid covers both
+   algorithms under Batch, Layered and Jittered arrivals, unbounded and
+   tight caps (fractions of HEFT's peak), and replays that repair. *)
+
+let pin_arrivals =
+  [ Arrival.Batch; Arrival.Layered { gap = 2. }; Arrival.Jittered { gap = 2.; seed = 5 } ]
+
+let pin_dag seed = dag_of_seed ~size:16 seed
+
+(* The capped platform at [alpha] times HEFT's peak ([infinity] for none). *)
+let pin_platform g alpha =
+  if Float.equal alpha infinity then platform infinity
+  else
+    let heft = Outcome.peak_max (Outcome.run Heuristics.HEFT g (platform infinity)) in
+    platform (alpha *. heft)
+
+let add_failure b (f : Heuristics.failure) =
+  Printf.bprintf b "fail@%d:%s;" f.Heuristics.n_scheduled f.Heuristics.reason
+
+let add_plan b = function
+  | Error f -> add_failure b f
+  | Ok (plan : Online.plan) ->
+    List.iter
+      (fun (d : Online.decision) ->
+        Printf.bprintf b "%d/%d/%h;" d.Online.d_task d.Online.d_pool d.Online.d_not_before)
+      plan.Online.p_decisions;
+    add_schedule_text b plan.Online.p_schedule;
+    Printf.bprintf b "%h;%h;%h\n" plan.Online.p_makespan plan.Online.p_peak_blue
+      plan.Online.p_peak_red
+
+let add_outcome b = function
+  | Error f -> add_failure b f
+  | Ok (o : Replay.outcome) ->
+    add_schedule_text b o.Replay.o_schedule;
+    Printf.bprintf b "%h;%h;%h;%d;%d\n" o.Replay.o_makespan o.Replay.o_peak_blue
+      o.Replay.o_peak_red o.Replay.o_replayed o.Replay.o_repaired
+
+let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+let plan_pin_digest seed alpha =
+  let g = pin_dag seed in
+  let p = pin_platform g alpha in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun arrival ->
+      List.iter
+        (fun algo -> add_plan b (Online.plan ~algo ~arrival g p))
+        [ Online.Heft_like; Online.Minmin_like ])
+    pin_arrivals;
+  hex b
+
+(* Replays of every plan of the grid under three noise seeds and both
+   policies; also returns how many tasks the repair policy placed, so the
+   test can insist the repair loop is really exercised. *)
+let replay_pin_digest seed alpha =
+  let g = pin_dag seed in
+  let p = pin_platform g alpha in
+  let b = Buffer.create 4096 in
+  let repaired = ref 0 in
+  List.iter
+    (fun arrival ->
+      List.iter
+        (fun algo ->
+          match Online.plan ~algo ~arrival g p with
+          | Error f -> add_failure b f
+          | Ok plan ->
+            List.iter
+              (fun noise_seed ->
+                let realized = Noise.perturb (Noise.spec ~seed:noise_seed ~level:0.4 ()) g in
+                List.iter
+                  (fun policy ->
+                    let r = Replay.run ~policy plan realized p in
+                    Result.iter (fun o -> repaired := !repaired + o.Replay.o_repaired) r;
+                    add_outcome b r)
+                  [ Replay.No_repair; Replay.Rerank_repair ])
+              [ 0; 1; 2 ])
+        [ Online.Heft_like; Online.Minmin_like ])
+    pin_arrivals;
+  (hex b, !repaired)
+
+let plan_pins =
+  [ (0, infinity, "38e277a6a40e8ea608de9b0909faa1ee");
+    (0, 0.7, "16e561801e0b222001d4cc69d11a8425");
+    (0, 0.5, "25290ccc64962c4026eedbb961589756");
+    (1, infinity, "0c72153c65fea2287fddd960b54f452a");
+    (1, 0.7, "d2563566110a11faa6a1d6a90207ffe4");
+    (1, 0.5, "6e90b10747dcf0785ccefbf5037a2e65");
+    (6, infinity, "6b9f3ee46b2a53f6564ef983cf67c192");
+    (6, 0.7, "48791b37d01f6cca23d75789bc8f3923");
+    (6, 0.5, "7382834ff69e6635823c9927b015bc00");
+    (7, infinity, "0385a2f2d325868f00766c9c043c332f");
+    (7, 0.7, "c9ec2d1bf3b179789654717beb0a315a");
+    (7, 0.5, "222a561d79dde01729f478c9b81110bf") ]
+
+let replay_pins =
+  [ (0, 0.7, "d019f6f45b719a0ec39ee9cc2036b915");
+    (1, 0.7, "7bf8051dbd72335cf1fa4c3747d76fe1");
+    (2, 0.7, "52c479af6d4ff7f69f8b4f0866356f82");
+    (2, 0.5, "d3cb18cef6982475c58a7d2cbe09b7be");
+    (6, 0.7, "b99d6b79f17808124ae29d7cb0335bd2") ]
+
+let test_plan_pins () =
+  List.iter
+    (fun (seed, alpha, digest) ->
+      check_string (Printf.sprintf "plans seed=%d alpha=%g" seed alpha) digest
+        (plan_pin_digest seed alpha))
+    plan_pins
+
+let test_replay_pins () =
+  List.iter
+    (fun (seed, alpha, digest) ->
+      let d, repaired = replay_pin_digest seed alpha in
+      check_bool (Printf.sprintf "seed=%d alpha=%g repairs" seed alpha) true (repaired > 0);
+      check_string (Printf.sprintf "replays seed=%d alpha=%g" seed alpha) digest d)
+    replay_pins
+
+(* The pinned grid holds an epoch that stalls and a later release that
+   unblocks it: a task committed after some task released later than
+   itself, although every parent of it was placed before that later task.
+   At the end of the earlier epoch the task was released and ready, and the
+   drain stopped without it. *)
+let stalled_then_unblocked g (plan : Online.plan) =
+  let releases = Arrival.releases plan.Online.p_arrival g in
+  let order = Array.of_list (List.map (fun (d : Online.decision) -> d.Online.d_task) plan.Online.p_decisions) in
+  let pos = Array.make (Array.length order) 0 in
+  Array.iteri (fun k i -> pos.(i) <- k) order;
+  let stalled k i =
+    match List.find_opt (fun k' -> releases.(order.(k')) > releases.(i)) (List.init k Fun.id) with
+    | Some later -> List.for_all (fun j -> pos.(j) < later) (parents g i)
+    | None -> false
+  in
+  List.exists (fun k -> stalled k order.(k)) (List.init (Array.length order) Fun.id)
+
+let test_pins_hold_a_stall () =
+  let g = pin_dag 1 in
+  let p = pin_platform g 0.7 in
+  List.iter
+    (fun algo ->
+      let arrival = Arrival.Jittered { gap = 2.; seed = 5 } in
+      let plan = plan_exn (Online.plan ~algo ~arrival g p) in
+      check_bool (Online.algo_label algo ^ " stalls, then a release unblocks it") true
+        (stalled_then_unblocked g plan))
+    [ Online.Heft_like; Online.Minmin_like ]
+
 let () =
   Alcotest.run "online"
     [ ( "noise",
@@ -380,7 +562,6 @@ let () =
           Alcotest.test_case "negative gap rejected" `Quick test_arrival_negative_gap ] );
       ( "planner",
         [ test_batch_equals_offline;
-          test_plan_of_offline_equals_batch;
           test_release_floors_respected;
           Alcotest.test_case "single task and tiny graphs" `Quick test_online_single_task_and_tiny ] );
       ( "replay",
@@ -388,8 +569,13 @@ let () =
           test_replay_unbounded_never_diverges;
           Alcotest.test_case "divergence without repair" `Quick test_replay_divergence_no_repair;
           Alcotest.test_case "re-rank repair recovers" `Quick test_replay_divergence_rerank_recovers;
+          test_repair_is_memheft;
           Alcotest.test_case "planted cap violation rejected" `Quick test_planted_cap_violation_rejected ] );
       ( "determinism",
         [ Alcotest.test_case "jobs invariance" `Quick test_scenario_jobs_invariance;
           Alcotest.test_case "seed-order invariance" `Quick test_scenario_seed_order_invariance;
-          Alcotest.test_case "summary counts" `Quick test_scenario_summary_counts ] ) ]
+          Alcotest.test_case "summary counts" `Quick test_scenario_summary_counts ] );
+      ( "pins",
+        [ Alcotest.test_case "online plans" `Quick test_plan_pins;
+          Alcotest.test_case "replays" `Quick test_replay_pins;
+          Alcotest.test_case "the grid holds a stalled epoch" `Quick test_pins_hold_a_stall ] ) ]

@@ -333,6 +333,34 @@ let test_serve_error_midstream () =
     check_int "bad-kind error code" 4 code
   | _ -> Alcotest.fail "expected schedule, error, schedule"
 
+let test_serve_admission_caps () =
+  (* Requests declaring 2^32 - 1 processors, restarts or search nodes are
+     refused as malformed (code 5) before their DAG is read, and the next
+     request on the stream is still served. *)
+  let g = dag_of_seed 63 in
+  let forged ~id offsets =
+    let b = Bytes.of_string (Wire.encode_message (Wire.Request (request ~id g))) in
+    (* version, kind, id:i64, algo:u8, seed:i64, then restarts:u32 at 19,
+       node_limit:u32 at 23, p_blue:u32 at 27 *)
+    List.iter (fun off -> Bytes.set_int32_be b off 0xFFFF_FFFFl) offsets;
+    Wire.frame (Bytes.unsafe_to_string b)
+  in
+  let script =
+    forged ~id:1L [ 27 ] ^ forged ~id:2L [ 19 ] ^ forged ~id:3L [ 23 ]
+    ^ forged ~id:4L [ 19; 23; 27 ]
+    ^ req_frame (request ~id:5L g)
+  in
+  let bytes, c = run_server script in
+  check_int "four protocol errors" 4 c.Server.protocol_errors;
+  match Wire.decode_stream bytes with
+  | Ok
+      [ Wire.Response { rid = 1L; body = Wire.Failure { code = 5; _ } };
+        Wire.Response { rid = 2L; body = Wire.Failure { code = 5; _ } };
+        Wire.Response { rid = 3L; body = Wire.Failure { code = 5; _ } };
+        Wire.Response { rid = 4L; body = Wire.Failure { code = 5; _ } };
+        Wire.Response { rid = 5L; body = Wire.Schedule _ } ] -> ()
+  | _ -> Alcotest.fail "expected four malformed-body errors (code 5), then a schedule"
+
 let test_serve_truncated_tail () =
   (* a stream ending mid-frame: pending work drains, the cut is answered,
      exit is clean *)
@@ -369,4 +397,5 @@ let () =
           Alcotest.test_case "warm-cache determinism" `Quick test_serve_warm_cache_determinism;
           Alcotest.test_case "backpressure burst" `Quick test_serve_backpressure_burst;
           Alcotest.test_case "protocol error mid-stream" `Quick test_serve_error_midstream;
+          Alcotest.test_case "admission caps" `Quick test_serve_admission_caps;
           Alcotest.test_case "truncated tail drains" `Quick test_serve_truncated_tail ] ) ]

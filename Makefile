@@ -35,13 +35,14 @@ lint-debt: build
 # pass (validate + trace + stats) must take under 10 s, MemHEFT must plan at
 # under 10^5 ns per task (10^5 tasks in 10 s), building the DAG must
 # allocate under 200 words per task, and HEFT and MemHEFT must each plan
-# at under 240 words per task, so a per-probe allocation in the shared
-# scheduling loops fails the gate (allocation counts repeat exactly from
-# run to run).
+# at under 142.3 words per task (their reading, 127.3-127.4, plus 15 for
+# the GC-state noise of the count), so a per-probe allocation in the shared
+# scheduling loops or staircases that keep their whole history fail the
+# gate.
 bench-pipeline-smoke: build
 	mkdir -p $(TMP)
 	bash bench/pipeline/run.sh --workload lu-big --seed 1 --trace 1 > $(TMP)/pipeline_lu_big.out
-	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5 and .metrics["dag.alloc_words_per_task"].value < 200 and .metrics["heft.alloc_words_per_task"].value < 240 and .metrics["memheft.alloc_words_per_task"].value < 240' > /dev/null
+	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5 and .metrics["dag.alloc_words_per_task"].value < 200 and .metrics["heft.alloc_words_per_task"].value < 142.3 and .metrics["memheft.alloc_words_per_task"].value < 142.3' > /dev/null
 	@echo "bench-pipeline-smoke OK"
 
 # End-to-end smoke of the scheduling daemon: a fixed-seed DAG through every

@@ -57,7 +57,7 @@ type ctx = {
   pool_code : int array;  (* -1 = unassigned, else the task's pool *)
   avail : float array;
   busy : (float * float) list array;
-  procs : int list array;
+  procs : int array array;
   min_avail : float array;
   (* scratch of the predecessor walk, one slot per pool: the cross-edge ids
      (sized max in-degree) and the running aggregates *)
@@ -67,6 +67,10 @@ type ctx = {
   c_batch : float array;
   min_cross_aft : float array;
   prec : float array;
+  (* the estimate of the last walk, one unboxed slot per pool *)
+  fits : bool array;
+  est : float array;
+  eft : float array;
 }
 
 let make ~options ~g ~durations ~free ~aft ~pool_code ~avail ~busy ~procs ~min_avail =
@@ -95,25 +99,25 @@ let make ~options ~g ~durations ~free ~aft ~pool_code ~avail ~busy ~procs ~min_a
     c_batch = Array.make k 0.;
     min_cross_aft = Array.make k infinity;
     prec = Array.make k 0.;
+    fits = Array.make k false;
+    est = Array.make k 0.;
+    eft = Array.make k 0.;
   }
 
-(* Earliest start on some processor of pool [q], given a lower bound [lb]
-   and the task duration [w]. *)
-let resource_est c q ~lb ~w =
-  match c.options.proc_policy with
-  | Earliest_available -> Float.max lb c.min_avail.(q)
-  | Insertion ->
-    let earliest_on p =
-      (* Scan the sorted busy intervals for the first gap of length [w]
-         starting at or after [lb]. *)
-      let rec scan start = function
-        | [] -> start
-        | (b0, b1) :: rest ->
-          if start +. w <= b0 +. eps then start else scan (Float.max start b1) rest
-      in
-      scan lb c.busy.(p)
+(* Classic HEFT insertion (the ablation policy): the earliest start on some
+   processor of pool [q], given a lower bound [lb] and the task duration
+   [w]. *)
+let insertion_est c q ~lb ~w =
+  let earliest_on p =
+    (* Scan the sorted busy intervals for the first gap of length [w]
+       starting at or after [lb]. *)
+    let rec scan start = function
+      | [] -> start
+      | (b0, b1) :: rest -> if start +. w <= b0 +. eps then start else scan (Float.max start b1) rest
     in
-    List.fold_left (fun acc p -> Float.min acc (earliest_on p)) infinity c.procs.(q)
+    scan lb c.busy.(p)
+  in
+  Array.fold_left (fun acc p -> Float.min acc (earliest_on p)) infinity c.procs.(q)
 
 (* In-place stable insertion sort of [cross.(0..k-1)] by decreasing transfer
    time.  Shifting only while strictly smaller keeps equal-comm edges in
@@ -135,61 +139,73 @@ let sort_desc_comm c cross k =
 (* Memory lower bound on the start time on pool [q] from the aggregates the
    walk left in [q]'s scratch slot, or [infinity] when the task cannot fit
    (the paper's EFT = +infinity case; a feasible bound is always a finite
-   staircase time).  The per-edge sort permutes [q]'s cross-edge ids. *)
+   staircase time, and the staircase queries answer [infinity] exactly when
+   the level does not fit).  The per-edge sort permutes [q]'s cross-edge
+   ids. *)
 let memory_lb c i q =
   let free = c.free.(q) in
   let cross_in = c.cross_in.(q) in
-  let task_level = cross_in +. c.out_sz.(i) in
-  match Staircase.earliest_suffix_ge free ~level:task_level ~from:0. with
-  | None -> infinity
-  | Some t_task -> (
-    if Float.equal cross_in 0. then t_task
-    else begin
-      match c.options.comm_mode with
-      | Jit_batched -> (
-        (* The paper's comm_mem_EST: the whole incoming batch must fit over a
-           window of the maximal transfer time. *)
-        match Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. with
-        | None -> infinity
-        | Some t_comm -> Float.max t_task (Fp.lb_plus t_comm c.c_batch.(q)))
-      | Jit_per_edge ->
-        (* Exact accounting of just-in-time transfers: the file of the cross
-           edge with the k-th largest transfer time is resident from
-           [start - C_k] on, so at that instant only the k largest-C files
-           are present.  For each prefix (sorted by decreasing C) the prefix
-           mass must fit from [start - C_k] on. *)
-        let cross = c.cross.(q) and k = c.n_cross.(q) in
-        sort_desc_comm c cross k;
-        let acc = ref 0. and lb = ref 0. in
-        let ok = ref true and idx = ref 0 in
-        while !ok && !idx < k do
-          let e = cross.(!idx) in
-          acc := !acc +. c.e_size.(e);
-          (match Staircase.earliest_suffix_ge free ~level:!acc ~from:0. with
-          | None -> ok := false
-          | Some t_k ->
-            (* Fp.lb_plus: the transfer later placed at [est -. C] must not
-               land below the verified window start in float arithmetic. *)
-            lb := Float.max !lb (Fp.lb_plus t_k c.e_comm.(e)));
+  let t_task = Staircase.earliest_suffix_ge free ~level:(cross_in +. c.out_sz.(i)) ~from:0. in
+  if Float.equal t_task infinity || Float.equal cross_in 0. then t_task
+  else begin
+    match c.options.comm_mode with
+    | Jit_batched ->
+      (* The paper's comm_mem_EST: the whole incoming batch must fit over a
+         window of the maximal transfer time. *)
+      let t_comm = Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. in
+      if Float.equal t_comm infinity then infinity
+      else Float.max t_task (Fp.lb_plus t_comm c.c_batch.(q))
+    | Jit_per_edge ->
+      (* Exact accounting of just-in-time transfers: the file of the cross
+         edge with the k-th largest transfer time is resident from
+         [start - C_k] on, so at that instant only the k largest-C files
+         are present.  For each prefix (sorted by decreasing C) the prefix
+         mass must fit from [start - C_k] on.  A prefix that does not fit
+         sets the bound to [infinity] and ends the scan. *)
+      let cross = c.cross.(q) and k = c.n_cross.(q) in
+      sort_desc_comm c cross k;
+      let acc = ref 0. and lb = ref 0. in
+      let idx = ref 0 in
+      while !idx < k do
+        let e = cross.(!idx) in
+        acc := !acc +. c.e_size.(e);
+        let t_k = Staircase.earliest_suffix_ge free ~level:!acc ~from:0. in
+        if Float.equal t_k infinity then begin
+          lb := infinity;
+          idx := k
+        end
+        else begin
+          (* Fp.lb_plus: the transfer later placed at [est -. C] must not
+             land below the verified window start in float arithmetic. *)
+          lb := Float.max !lb (Fp.lb_plus t_k c.e_comm.(e));
           incr idx
-        done;
-        if !ok then Float.max t_task !lb else infinity
-      | Eager -> (
-        (* Transfers fire at producer completion: the destination must be able
-           to hold every incoming file from the earliest producer finish on. *)
-        match Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. with
-        | Some t_comm when t_comm <= c.min_cross_aft.(q) +. eps -> t_task
-        | _ -> infinity)
-    end)
+        end
+      done;
+      Float.max t_task !lb
+    | Eager ->
+      (* Transfers fire at producer completion: the destination must be able
+         to hold every incoming file from the earliest producer finish on. *)
+      let t_comm = Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. in
+      if (not (Float.equal t_comm infinity)) && t_comm <= c.min_cross_aft.(q) +. eps then t_task
+      else infinity
+  end
 
+(* Pool [q]'s estimate into its slots: [fits], and when it fits [est] and
+   [eft = est + W^(q)]. *)
 let finish c i q =
   let mem_lb = memory_lb c i q in
-  if Float.equal mem_lb infinity then None
+  if Float.equal mem_lb infinity then c.fits.(q) <- false
   else begin
     let lb = Float.max mem_lb c.prec.(q) in
     let w = c.w.(q).(i) in
-    let est = resource_est c q ~lb ~w in
-    Some { task = i; pool = q; est; eft = est +. w; comm_batch = c.c_batch.(q) }
+    let est =
+      match c.options.proc_policy with
+      | Earliest_available -> Float.max lb c.min_avail.(q)
+      | Insertion -> insertion_est c q ~lb ~w
+    in
+    c.fits.(q) <- true;
+    c.est.(q) <- est;
+    c.eft.(q) <- est +. w
   end
 
 (* One cache-linear CSR walk of the predecessors for pools [lo..hi],
@@ -231,29 +247,38 @@ let walk c i lo hi =
     done
   done
 
+let estimate c i q = { task = i; pool = q; est = c.est.(q); eft = c.eft.(q); comm_batch = c.c_batch.(q) }
+
 let estimate_ready c i q =
   walk c i q q;
-  finish c i q
+  finish c i q;
+  if c.fits.(q) then Some (estimate c i q) else None
 
-(* Filled in a loop rather than by [Array.init c.n_pools (finish c i)],
-   whose partial application allocates a closure on every probe. *)
-let estimates_ready c i =
+(* Every pool from one walk.  A pool that fits is lifted to the release
+   floor in place ([est' = max(est, floor)], [eft'] recomputed from the
+   duration, not shifted) and then compared with the incumbent pool:
+   minimum EFT, ties to the earlier EST, then to the incumbent — the lower
+   pool, as the pools are met in order. *)
+let probe c i ~not_before =
   walk c i 0 (c.n_pools - 1);
-  let es = Array.make c.n_pools None in
+  let floor = not_before.(i) in
+  let best = ref (-1) in
   for q = 0 to c.n_pools - 1 do
-    es.(q) <- finish c i q
+    finish c i q;
+    if c.fits.(q) then begin
+      if c.est.(q) < floor then begin
+        c.est.(q) <- floor;
+        c.eft.(q) <- floor +. c.w.(q).(i)
+      end;
+      let b = !best in
+      if
+        b < 0
+        || c.eft.(q) +. eps < c.eft.(b)
+        || ((not (c.eft.(b) +. eps < c.eft.(q))) && c.est.(q) +. eps < c.est.(b))
+      then best := q
+    end
   done;
-  es
+  !best
 
-(* Minimum-EFT choice with the paper's tie-breaking (earlier EST, then the
-   first argument — the lower pool when folded in pool order). *)
-let better_estimate a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some ea, Some eb ->
-    if eb.eft +. eps < ea.eft then b
-    else if ea.eft +. eps < eb.eft then a
-    else if eb.est +. eps < ea.est then b
-    else a
-
-let best_of estimates = Array.fold_left better_estimate None estimates
+let fits c q = c.fits.(q)
+let eft c q = c.eft.(q)

@@ -70,7 +70,7 @@ val make :
   pool_code:int array ->
   avail:float array ->
   busy:(float * float) list array ->
-  procs:int list array ->
+  procs:int array array ->
   min_avail:float array ->
   ctx
 (** Builds a context around the given shared state.  [durations],
@@ -81,9 +81,21 @@ val estimate_ready : ctx -> int -> int -> estimate option
 (** EST/EFT of a task on one pool, or [None] when it cannot fit.  The
     caller must guarantee the task is ready (all parents assigned). *)
 
-val estimates_ready : ctx -> int -> estimate option array
-(** Every pool's estimate from a single predecessor walk — bit-identical to
-    one {!estimate_ready} call per pool. *)
+val probe : ctx -> int -> not_before:float array -> int
+(** [probe c i ~not_before] evaluates ready task [i] on every pool from a
+    single predecessor walk into the context's per-pool slots — each pool
+    bit-identical to an {!estimate_ready} call, then lifted to the release
+    floor [not_before.(i)] ([est' = max(est, floor)], [eft'] recomputed from
+    the duration) — and returns the minimum-EFT pool (ties: the earlier EST,
+    then the lower pool), or [-1] when no pool fits.  Builds no estimate
+    record. *)
 
-val best_of : estimate option array -> estimate option
-(** Minimum EFT; ties go to the earlier EST, then to the lower pool. *)
+val fits : ctx -> int -> bool
+(** Whether the pool fitted in the last {!probe}. *)
+
+val eft : ctx -> int -> float
+(** The pool's lifted EFT from the last {!probe}; meaningful when it fits. *)
+
+val estimate : ctx -> int -> int -> estimate
+(** [estimate c i q]: the record of pool [q] from the last {!probe} of
+    task [i]; meaningful when it fits. *)

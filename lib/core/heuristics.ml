@@ -31,12 +31,12 @@ let memheft_loop state ~not_before order =
     while (not !committed) && !k <> m do
       let i = order.(!k) in
       (if Sched_state.is_ready state i then
-         match Sched_state.best_estimate state ~not_before i with
-         | Some e ->
-           Sched_state.commit state e;
+         let q = Sched_state.probe state ~not_before i in
+         if q >= 0 then begin
+           Sched_state.commit state (Sched_state.probe_estimate state i q);
            next.(!prev) <- next.(!k);
            committed := true
-         | None -> ());
+         end);
       prev := !k;
       k := next.(!k)
     done;
@@ -60,35 +60,36 @@ let memheft ?options ?rng ?ranks ?durations g platform =
   snd (memheft_run ?options ?rng ?ranks ?durations g platform)
 
 (* Algorithm 2's selection, shared by MemMinMin and its extensions: each
-   round scores every candidate by [select] over its per-pool estimates
-   (release floors lifted) and commits the candidate with the highest
-   score; on equal scores the candidate met first stays.  A round that
-   finds no feasible candidate ends the loop. *)
+   round probes every candidate (release floors lifted), scores it by
+   [select] over the probe's per-pool slots and its winning pool, and
+   commits the candidate with the highest score; on equal scores the
+   candidate met first stays.  A round that finds no feasible candidate
+   ends the loop.  The incumbent is a task id and an unboxed score slot;
+   its estimate is rebuilt by probing it again once the round is over (the
+   state has not changed since, so the probe repeats bit for bit). *)
 let dynamic_loop state ~not_before ~iter ~select =
   let n = Dag.n_tasks (Sched_state.graph state) in
-  let best = ref None in
+  let best_task = ref (-1) and best_score = [| 0. |] in
   let probe i =
-    (* Every pool from a single predecessor walk; the winner is derived
-       from the estimates already in hand with the exact comparison
-       best_estimate uses. *)
-    let estimates = Sched_state.estimates state ~not_before i in
-    match Sched_state.best_of estimates with
-    | Some e ->
-      let score = select ~best:e ~estimates in
-      (match !best with
-      | Some (s, _) when s >= score -> ()
-      | _ -> best := Some (score, e))
-    | None -> ()
+    let q = Sched_state.probe state ~not_before i in
+    if q >= 0 then begin
+      let score = select state q in
+      if !best_task < 0 || not (best_score.(0) >= score) then begin
+        best_task := i;
+        best_score.(0) <- score
+      end
+    end
   in
   let rec round () =
     if Sched_state.n_assigned state < n then begin
-      best := None;
+      best_task := -1;
       iter probe;
-      match !best with
-      | Some (_, e) ->
-        Sched_state.commit state e;
+      let i = !best_task in
+      if i >= 0 then begin
+        let q = Sched_state.probe state ~not_before i in
+        Sched_state.commit state (Sched_state.probe_estimate state i q);
         round ()
-      | None -> ()
+      end
     end
   in
   round ()
@@ -101,9 +102,9 @@ let dynamic_run ?options ?durations ~select g platform =
 
 (* Algorithm 2 (MemMinMin).  Among ready tasks, schedule the one with the
    smallest earliest finish time; ties break by task id.  The score is the
-   negated EFT, so [s >= score] keeps the incumbent exactly when its EFT is
-   no larger. *)
-let minmin_select ~best ~estimates:_ = -.best.Sched_state.eft
+   negated EFT of the winning pool, so [s >= score] keeps the incumbent
+   exactly when its EFT is no larger. *)
+let minmin_select state q = -.Sched_state.probe_eft state q
 
 let memminmin_loop state ~not_before ~iter =
   dynamic_loop state ~not_before ~iter ~select:minmin_select
@@ -120,7 +121,7 @@ let memminmin ?options ?durations g platform = snd (memminmin_run ?options ?dura
    optimised runners above are bit-identical to these, and the fuzzer's
    [o_reference] oracle checks the same on every generated case. *)
 let memheft_reference ?options ?rng g platform =
-  let state = Sched_state.create ?options g platform in
+  let state = Sched_state.Reference.create ?options g platform in
   let order = Rank.priority_list ?rng g in
   let n = Dag.n_tasks g in
   let done_ = Array.make n false in
@@ -150,7 +151,7 @@ let memheft_reference ?options ?rng g platform =
   round ()
 
 let memminmin_reference ?options g platform =
-  let state = Sched_state.create ?options g platform in
+  let state = Sched_state.Reference.create ?options g platform in
   let n = Dag.n_tasks g in
   let rec round () =
     if Sched_state.n_assigned state = n then Ok (Sched_state.schedule state)
@@ -182,26 +183,25 @@ let memminmin_reference ?options g platform =
    - Sufferage: schedule the task that would suffer most from not getting
      its preferred pool (largest second-best minus best EFT). *)
 let memmaxmin ?options g platform =
-  let select ~best ~estimates:_ = best.Sched_state.eft in
+  let select state q = Sched_state.probe_eft state q in
   snd (dynamic_run ?options ~select g platform)
 
 let memsufferage ?options g platform =
   (* Second-smallest minus smallest EFT over the pools that fit; with one
      fitting pool the second is [infinity]: infinite sufferage, schedule it
      now.  For two pools this is exactly [abs_float (a.eft -. b.eft)]. *)
-  let select ~best:_ ~estimates =
+  let select state _ =
     let lo = ref infinity and lo2 = ref infinity in
-    Array.iter
-      (function
-        | Some e ->
-          let f = e.Sched_state.eft in
-          if f < !lo then begin
-            lo2 := !lo;
-            lo := f
-          end
-          else if f < !lo2 then lo2 := f
-        | None -> ())
-      estimates;
+    for q = 0 to Platform.n_pools (Sched_state.platform state) - 1 do
+      if Sched_state.probe_fits state q then begin
+        let f = Sched_state.probe_eft state q in
+        if f < !lo then begin
+          lo2 := !lo;
+          lo := f
+        end
+        else if f < !lo2 then lo2 := f
+      end
+    done;
     !lo2 -. !lo
   in
   snd (dynamic_run ?options ~select g platform)

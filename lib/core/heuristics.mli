@@ -60,7 +60,7 @@ val memminmin_run :
     The only production copies of Algorithm 1's scan and Algorithm 2's
     selection.  Each runs on a state the caller made and commits into it;
     [not_before.(i)] is task [i]'s release floor, lifted into every pool's
-    estimate before the min-EFT choice ({!Sched_state.estimates}).  Offline
+    estimate before the min-EFT choice ({!Sched_state.probe}).  Offline
     callers pass zero floors, which never bind.  A loop returns when a full
     pass commits nothing, so the caller reads {!Sched_state.n_assigned} and
     words any failure itself. *)
@@ -82,13 +82,15 @@ val memminmin_loop :
 val memheft_reference :
   ?options:Sched_state.options -> ?rng:Rng.t -> Dag.t -> Platform.t -> result
 (** Pre-optimisation MemHEFT, kept verbatim (full priority-list rescans,
-    {!Sched_state.Reference} estimates, linear staircase scans).
-    Bit-identical to {!memheft}: a test and fuzz oracle, asserted by the A/B
-    test suite and the fuzzer's [o_reference] oracle. *)
+    {!Sched_state.Reference} estimates, linear staircase scans) on a
+    {!Sched_state.Reference.create} state, whose staircases keep their full
+    history.  Bit-identical to {!memheft}: a test and fuzz oracle, asserted
+    by the A/B test suite and the fuzzer's [o_reference] oracle. *)
 
 val memminmin_reference : ?options:Sched_state.options -> Dag.t -> Platform.t -> result
 (** Pre-optimisation MemMinMin, kept verbatim (O(n) ready-set rebuilds,
-    {!Sched_state.Reference} estimates).  Bit-identical to {!memminmin}. *)
+    {!Sched_state.Reference} estimates, full-history staircases).
+    Bit-identical to {!memminmin}. *)
 
 val heft :
   ?options:Sched_state.options ->

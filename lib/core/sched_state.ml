@@ -32,6 +32,11 @@ type undo = {
   u_marks : Staircase.mark array;
 }
 
+(* The largest [min_avail] a horizon was derived from (see
+   [advance_horizon]).  An all-float record is stored flat, so raising it
+   allocates nothing. *)
+type watermark = { mutable seen : float }
+
 type t = {
   g : Dag.t;
   platform : Platform.t;
@@ -50,8 +55,15 @@ type t = {
   pool_code : int array;  (* per task: its pool, -1 while unassigned *)
   pending_parents : int array;
   sched : Schedule.t;
-  procs : int list array;  (* Platform.procs_of_pool, cached: [estimate] is hot *)
+  procs : int array array;  (* Platform.procs_of_pool, cached: [commit] is hot *)
   out_sizes : float array;  (* Dag.Csr.out_sz view, cached likewise *)
+  in_sizes : float array;  (* Dag.Csr.in_sz view: [Dag.in_size] boxes its result *)
+  (* The forgetting horizon (see [advance_horizon]): whether this state may
+     forget staircase history at all, the largest transfer time, and the
+     availability minimum last used. *)
+  forgetting : bool;
+  c_max : float;
+  horizon_from : watermark;
   (* Flat ready set.  A task is ready iff [not assigned && pending = 0]; the
      arrays below are a superset index over that predicate: [ready_arr]
      (sorted ascending, possibly holding stale entries) plus an unsorted
@@ -76,7 +88,7 @@ type t = {
   mutable commit_log : int list;
 }
 
-let create ?(options = default_options) ?durations g platform =
+let make ~forgetting ?(options = default_options) ?durations g platform =
   let n = Dag.n_tasks g in
   let k = Platform.n_pools platform in
   let durations =
@@ -99,7 +111,7 @@ let create ?(options = default_options) ?durations g platform =
       in_ready.(i) <- true
     end
   done;
-  let procs = Array.init k (Platform.procs_of_pool platform) in
+  let procs = Array.init k (fun q -> Array.of_list (Platform.procs_of_pool platform q)) in
   let free = Array.init k (fun q -> Staircase.create (Platform.pool_capacity platform q)) in
   let avail = Array.make (Platform.n_procs platform) 0. in
   (* Every pool owns at least one processor, all idle at 0. *)
@@ -124,6 +136,15 @@ let create ?(options = default_options) ?durations g platform =
     sched = Schedule.create g;
     procs;
     out_sizes = Dag.Csr.out_sz g;
+    in_sizes = Dag.Csr.in_sz g;
+    (* Insertion can start a task before [min_avail] and Eager starts its
+       transfers at producer finish times, so both keep the full history. *)
+    forgetting =
+      forgetting
+      && (match options.proc_policy with Earliest_available -> true | Insertion -> false)
+      && (match options.comm_mode with Jit_per_edge | Jit_batched -> true | Eager -> false);
+    c_max = Array.fold_left Float.max 0. (Dag.Csr.e_comm g);
+    horizon_from = { seen = 0. };
     ready_arr;
     ready_len = !ready_len;
     ready_buf = Array.make (max 1 n) 0;
@@ -137,6 +158,8 @@ let create ?(options = default_options) ?durations g platform =
     trail = [];
     commit_log = [];
   }
+
+let create ?options ?durations g platform = make ~forgetting:true ?options ?durations g platform
 
 let copy t =
   let free = Array.map Staircase.copy t.free in
@@ -169,6 +192,7 @@ let copy t =
     in_ready = Array.copy t.in_ready;
     ready_scratch = Array.make (Array.length t.ready_scratch) 0;
     planned = Array.copy t.planned;
+    horizon_from = { seen = t.horizon_from.seen };
     trailing = false;
     trail = [];
   }
@@ -301,51 +325,35 @@ let lift_estimate t ~not_before e =
   if e.est >= not_before then e
   else { e with est = not_before; eft = not_before +. t.durations.(e.pool).(e.task) }
 
-(* Lifted in place, so a probe whose floor binds nowhere allocates nothing
-   beyond the estimates themselves. *)
-let estimates t ~not_before i =
-  if not (is_ready t i) then Array.make (Platform.n_pools t.platform) None
-  else begin
-    let es = Est.estimates_ready t.est_ctx i in
-    let floor = not_before.(i) in
-    for q = 0 to Array.length es - 1 do
-      match es.(q) with
-      | Some e when e.est < floor -> es.(q) <- Some (lift_estimate t ~not_before:floor e)
-      | _ -> ()
-    done;
-    es
-  end
-
-let best_of = Est.best_of
-
-let best_estimate t ~not_before i =
-  if not (is_ready t i) then None else best_of (estimates t ~not_before i)
+let probe t ~not_before i = if not (is_ready t i) then -1 else Est.probe t.est_ctx i ~not_before
+let probe_fits t q = Est.fits t.est_ctx q
+let probe_eft t q = Est.eft t.est_ctx q
+let probe_estimate t i q = Est.estimate t.est_ctx i q
 
 (* Processor of pool [q] minimising idle time before a task starting at
    [start] with duration [w] (paper: maximise avail among procs available by
    then). *)
 let select_proc t q ~start ~w =
+  let procs = t.procs.(q) in
   match t.options.proc_policy with
   | Earliest_available ->
-    let best = ref None in
-    List.iter
-      (fun p ->
-        if t.avail.(p) <= start +. eps then begin
-          match !best with
-          | Some r when t.avail.(r) >= t.avail.(p) -> ()
-          | _ -> best := Some p
-        end)
-      t.procs.(q);
-    (match !best with
-    | Some p -> p
-    | None -> invalid_arg "Sched_state.commit: stale estimate (no processor available)")
+    (* Among the processors available by [start] (eps slack), the first with
+       the latest availability. *)
+    let best = ref (-1) in
+    for k = 0 to Array.length procs - 1 do
+      let p = procs.(k) in
+      if t.avail.(p) <= start +. eps && (!best < 0 || not (t.avail.(!best) >= t.avail.(p))) then
+        best := p
+    done;
+    if !best < 0 then invalid_arg "Sched_state.commit: stale estimate (no processor available)";
+    !best
   | Insertion ->
     let fits p =
       List.for_all
         (fun (b0, b1) -> b1 <= start +. eps || b0 +. eps >= start +. w)
         t.busy.(p)
     in
-    (match List.find_opt fits t.procs.(q) with
+    (match List.find_opt fits (Array.to_list procs) with
     | Some p -> p
     | None -> invalid_arg "Sched_state.commit: stale estimate (no insertion slot)")
 
@@ -367,7 +375,58 @@ let insert_interval t q p ~start ~finish =
        pre-optimisation resource_EST ran on every estimate, so the cached
        value is bit-identical to what that fold would return now.  No other
        pool's processors changed. *)
-    t.min_avail.(q) <- List.fold_left (fun acc r -> Float.min acc t.avail.(r)) infinity t.procs.(q)
+    let procs = t.procs.(q) in
+    let m = ref infinity in
+    for k = 0 to Array.length procs - 1 do
+      m := Float.min !m t.avail.(procs.(k))
+    done;
+    t.min_avail.(q) <- !m
+  end
+
+(* The forgetting horizon.  Let M be the minimum over pools of [min_avail].
+   Under [Earliest_available] every estimate starts at or after its pool's
+   [min_avail] >= M, and [select_proc] accepts a start [s] only when some
+   processor's availability (>= M) is at most [s +. eps]; so every later
+   commit starts at [s >= F = M -. 2 eps]: [s +. eps] rounds to M or above
+   only if [s + eps >= M - u/2], [u] the float spacing just below M, which
+   gives [s >= M - 2 eps] when [u <= 2 eps] and [s >= M] otherwise.
+   The horizon [h] is the largest float with [Fp.lb_plus h c_max <= F].
+   Every time a later commit passes to [Staircase.add_from] is then at least
+   [h]: a just-in-time transfer starts at [s -. C >= F -. c_max >= h]
+   (rounding is monotone and [lb_plus h c_max -. c_max >= h]); the source
+   copy is released at [(s -. C) +. C >= s -. C]; the task holds its outputs
+   from [s] and releases its inputs at [s +. W >= s].
+
+   Why forgetting cannot change a schedule.  A staircase answer
+   ([earliest_suffix_ge]) differs from the full-history one only when the
+   last step below the level was forgotten, and then both answers are at
+   most [h].  Such an answer [t_k] enters an estimate only through
+   [t_task] or [Fp.lb_plus t_k C] with [C <= c_max]; both are at most
+   [Fp.lb_plus h c_max <= F <= M <= min_avail q] ([lb_plus] is monotone in
+   both arguments), and [resource_EST]'s [Float.max _ min_avail.(q)] absorbs
+   every term at most [min_avail q]: [est] and [eft] come out bit-identical.
+   The planned peaks read [min_from _ 0.] and the final values, which stay
+   exact.  Insertion and Eager compare or place times below [min_avail]
+   ([t_comm <= min_cross_aft + eps]), so [forgetting] is off for them; it is
+   off while trailing too (the journal addresses array positions). *)
+let advance_horizon t =
+  let m = ref infinity in
+  for q = 0 to Array.length t.min_avail - 1 do
+    if t.min_avail.(q) < !m then m := t.min_avail.(q)
+  done;
+  if !m > t.horizon_from.seen then begin
+    t.horizon_from.seen <- !m;
+    let f = !m -. (2. *. eps) and c = t.c_max in
+    let h = ref (f -. c) in
+    while Fp.lb_plus !h c > f do
+      h := Float.pred !h
+    done;
+    while Fp.lb_plus (Float.succ !h) c <= f do
+      h := Float.succ !h
+    done;
+    for q = 0 to Array.length t.free - 1 do
+      Staircase.forget_before t.free.(q) !h
+    done
   end
 
 let commit t e =
@@ -412,8 +471,8 @@ let commit t e =
   let pred_off = Dag.Csr.pred_off g and pred_eid = Dag.Csr.pred_eid g in
   let pred_src = Dag.Csr.pred_src g in
   let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
-  let deferred_frees = ref [] in
-  for p = pred_off.(i) to pred_off.(i + 1) - 1 do
+  let row_lo = pred_off.(i) and row_hi = pred_off.(i + 1) - 1 in
+  for p = row_lo to row_hi do
     let j = pred_src.(p) in
     let qj = t.pool_code.(j) in
     if qj < 0 then invalid_arg "Sched_state.commit: parent not assigned";
@@ -428,8 +487,7 @@ let commit t e =
       | Some u -> u.u_comms <- (eid, t.sched.Schedule.comm_starts.(eid)) :: u.u_comms
       | None -> ());
       t.sched.Schedule.comm_starts.(eid) <- Some tau;
-      Staircase.add_from free_q tau (-.e_size.(eid));
-      deferred_frees := (t.free.(qj), tau +. e_comm.(eid), e_size.(eid)) :: !deferred_frees
+      Staircase.add_from free_q tau (-.e_size.(eid))
     end
   done;
   (* Output files are held from the task start... *)
@@ -444,10 +502,23 @@ let commit t e =
     let used = cap -. Staircase.min_from free_q 0. in
     if used > t.planned.(q) then t.planned.(q) <- used
   end;
-  (* ... the source copies disappear at the transfer ends, and all input
-     files are released from this pool at the task end. *)
-  List.iter (fun (stair, time, amount) -> Staircase.add_from stair time amount) !deferred_frees;
-  Staircase.add_from free_q eft (Dag.in_size g i);
+  (* ... the source copies disappear at the transfer ends (a second walk of
+     the row, in reverse: the order these releases have always been applied
+     in, which float sums depend on), and all input files are released from
+     this pool at the task end. *)
+  for p = row_hi downto row_lo do
+    let qj = t.pool_code.(pred_src.(p)) in
+    if qj <> q then begin
+      let eid = pred_eid.(p) in
+      let tau =
+        match t.options.comm_mode with
+        | Jit_per_edge | Jit_batched -> start -. e_comm.(eid)
+        | Eager -> t.aft.(pred_src.(p))
+      in
+      Staircase.add_from t.free.(qj) (tau +. e_comm.(eid)) e_size.(eid)
+    end
+  done;
+  Staircase.add_from free_q eft t.in_sizes.(i);
   t.aft.(i) <- eft;
   t.assigned.(i) <- true;
   t.pool_code.(i) <- q;
@@ -460,6 +531,7 @@ let commit t e =
     if t.pending_parents.(c) = 0 then ready_add t c
   done;
   t.commit_log <- i :: t.commit_log;
+  if t.forgetting && not t.trailing then advance_horizon t;
   match undo with Some u -> t.trail <- u :: t.trail | None -> ()
 
 let uncommit t =
@@ -495,6 +567,8 @@ let uncommit t =
    three traversals of the predecessor list per estimate and O(breakpoints)
    staircase scans instead of the suffix-minimum binary search. *)
 module Reference = struct
+  let create ?options g platform = make ~forgetting:false ?options g platform
+
   let ready_tasks t =
     let acc = ref [] in
     for i = Dag.n_tasks t.g - 1 downto 0 do
@@ -556,18 +630,23 @@ module Reference = struct
         Float.max acc arrival)
       0. (pred t i)
 
+  (* The scan's answer, [None] for "does not fit". *)
+  let suffix_ge free ~level =
+    let x = Staircase.earliest_suffix_ge_scan free ~level ~from:0. in
+    if Float.equal x infinity then None else Some x
+
   let memory_lb t i q =
     let free = t.free.(q) in
     let cross_in, c_batch, min_cross_aft = cross_summary t i q in
     let task_level = cross_in +. Dag.out_size t.g i in
-    match Staircase.earliest_suffix_ge_scan free ~level:task_level ~from:0. with
+    match suffix_ge free ~level:task_level with
     | None -> None
     | Some t_task -> (
       if Float.equal cross_in 0. then Some (t_task, c_batch)
       else begin
         match t.options.comm_mode with
         | Jit_batched -> (
-          match Staircase.earliest_suffix_ge_scan free ~level:cross_in ~from:0. with
+          match suffix_ge free ~level:cross_in with
           | None -> None
           | Some t_comm -> Some (Float.max t_task (Fp.lb_plus t_comm c_batch), c_batch))
         | Jit_per_edge ->
@@ -580,13 +659,13 @@ module Reference = struct
             | [] -> Some lb
             | (e : Dag.edge) :: rest -> (
               let acc = acc +. e.Dag.size in
-              match Staircase.earliest_suffix_ge_scan free ~level:acc ~from:0. with
+              match suffix_ge free ~level:acc with
               | None -> None
               | Some t_k -> prefixes acc (Float.max lb (Fp.lb_plus t_k e.Dag.comm)) rest)
           in
           Option.map (fun lb -> (Float.max t_task lb, c_batch)) (prefixes 0. 0. sorted)
         | Eager -> (
-          match Staircase.earliest_suffix_ge_scan free ~level:cross_in ~from:0. with
+          match suffix_ge free ~level:cross_in with
           | Some t_comm when t_comm <= min_cross_aft +. eps -> Some (t_task, c_batch)
           | _ -> None)
       end)
@@ -603,5 +682,16 @@ module Reference = struct
         Some { task = i; pool = q; est; eft = est +. w; comm_batch = c_batch }
     end
 
-  let best_estimate t i = best_of (Array.init (Platform.n_pools t.platform) (estimate t i))
+  (* Minimum EFT; ties go to the earlier EST, then to the lower pool. *)
+  let better_estimate a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some ea, Some eb ->
+      if eb.eft +. eps < ea.eft then b
+      else if ea.eft +. eps < eb.eft then a
+      else if eb.est +. eps < ea.est then b
+      else a
+
+  let best_estimate t i =
+    Array.fold_left better_estimate None (Array.init (Platform.n_pools t.platform) (estimate t i))
 end

@@ -128,21 +128,27 @@ val lift_estimate : t -> not_before:float -> estimate -> estimate
     smaller minimum), transfer windows move later with the start, and every
     processor available by [est] is still available by [est']. *)
 
-val estimates : t -> not_before:float array -> int -> estimate option array
-(** [estimates t ~not_before i]: every pool's {!estimate} from a single
-    predecessor walk — bit-identical to one call per pool — each lifted by
-    the task's release floor [not_before.(i)] ({!lift_estimate}).  Zero
-    floors never bind.  All [None] when the task is not ready. *)
-
-val best_of : estimate option array -> estimate option
-(** The minimum-EFT choice used by {!best_estimate} (ties: earlier EST, then
-    the lower pool).  Exposed so callers that already hold the per-pool
-    estimates derive the winner with the same comparison. *)
-
-val best_estimate : t -> not_before:float array -> int -> estimate option
-(** [best_of (estimates t ~not_before i)]: floors are lifted into each pool
+val probe : t -> not_before:float array -> int -> int
+(** [probe t ~not_before i] evaluates task [i] on every pool from a single
+    predecessor walk, into per-pool slots of the state — each pool
+    bit-identical to {!estimate}, lifted by the task's release floor
+    [not_before.(i)] ({!lift_estimate}; zero floors never bind) — and
+    returns the minimum-EFT pool (ties: earlier EST, then the lower pool),
+    or [-1] when no pool fits or the task is not ready.  Floors are lifted
     before the comparison, so a floor can flip the winning pool when it
-    erases another pool's head start. *)
+    erases another pool's head start.  Builds no estimate record: read the
+    slots with the functions below until the next probe or commit. *)
+
+val probe_fits : t -> int -> bool
+(** [probe_fits t q]: whether pool [q] fitted in the last {!probe}. *)
+
+val probe_eft : t -> int -> float
+(** [probe_eft t q]: pool [q]'s lifted EFT in the last {!probe} (when it
+    fits). *)
+
+val probe_estimate : t -> int -> int -> estimate
+(** [probe_estimate t i q]: pool [q]'s lifted estimate from the last
+    {!probe} of task [i], as a record ready for {!commit}. *)
 
 val commit : t -> estimate -> unit
 (** Applies a decision: picks the processor minimising idle time (or the
@@ -181,6 +187,12 @@ val snapshot_schedule : t -> Schedule.t
     the fuzzer's [o_reference] oracle assert the optimised paths above are
     bit-identical to these. *)
 module Reference : sig
+  val create : ?options:options -> Dag.t -> Platform.t -> t
+  (** The [create] above with the default durations, except that the state
+      never forgets staircase history: a state from [create] drops the
+      steps no later commit can reach (see [Staircase.forget_before]), and
+      the reference runners check that against full-history staircases. *)
+
   val ready_tasks : t -> int list
   val estimate : t -> int -> int -> estimate option
   val best_estimate : t -> int -> estimate option

@@ -1,6 +1,12 @@
+(* A loop rather than a local recursive function, which would allocate a
+   closure over [t] and [c] on every call; the [Float.succ] sequence is the
+   same. *)
 let lb_plus t c =
-  let rec fix x = if x -. c >= t then x else fix (Float.succ x) in
-  fix (t +. c)
+  let x = ref (t +. c) in
+  while not (!x -. c >= t) do
+    x := Float.succ !x
+  done;
+  !x
 
 let default_eps = 1e-6
 

@@ -1,7 +1,20 @@
 (* Breakpoints stored in two parallel growable arrays, sorted by time.
-   Invariants: len >= 1, xs.(0) = 0., xs strictly increasing with gaps > eps
-   (update times within eps of an existing breakpoint are snapped onto it),
-   adjacent values differ by more than eps ([coalesce_from] removes the rest).
+   Invariants: len >= 1, xs strictly increasing with gaps > eps (update times
+   within eps of an existing breakpoint are snapped onto it), adjacent values
+   differ by more than eps ([coalesce_from] removes the rest).  Until the
+   first [forget_before], xs.(0) = 0.; afterwards the stored steps are the
+   [dead] prefix (wholly before the horizon, kept until the next compaction)
+   followed by the live window, and [forgotten_min] holds the minimum of the
+   values compaction dropped.
+
+   The live window starts one step before the step containing the horizon
+   [h].  Every later [add_from] lands at [t >= h], and the gap invariant puts
+   the first live breakpoint more than eps below [h], so no update can snap
+   onto it or change its value.  [coalesce_from] compares the first touched
+   step with the one before it; when that is the first live step, which no
+   update changes, the full history keeps it too, so starting the scan at
+   index 0 after a compaction gives the same array.  Updates therefore
+   rewrite the live window exactly as they rewrite the full history.
 
    Queries are served by a lazily patched segment tree over the value array:
    leaf [j] holds [vs.(j)] (+infinity beyond [len]), an internal node holds
@@ -41,6 +54,11 @@ type t = {
   mutable xs : float array;
   mutable vs : float array;
   mutable len : int;
+  (* [forget_before] state: [dead] stored steps lie wholly before the
+     horizon; [add_from] below [horizon] raises. *)
+  mutable dead : int;
+  mutable horizon : float;
+  mutable forgotten_min : float;
   (* segment tree: [tree] has length [2 * tsize] ([tsize] a power of two,
      [tree.(0)] unused), leaf [j] lives at [tsize + j], [tree_len] is the
      [len] the leaves currently reflect, [dirty_from] the first
@@ -61,6 +79,9 @@ let create v =
     xs = [| 0. |];
     vs = [| v |];
     len = 1;
+    dead = 0;
+    horizon = 0.;
+    forgotten_min = infinity;
     tree = [| infinity; infinity |];
     tsize = 1;
     tree_len = 0;
@@ -75,6 +96,9 @@ let copy s =
     xs = Array.copy s.xs;
     vs = Array.copy s.vs;
     len = s.len;
+    dead = s.dead;
+    horizon = s.horizon;
+    forgotten_min = s.forgotten_min;
     tree = Array.copy s.tree;
     tsize = s.tsize;
     tree_len = s.tree_len;
@@ -94,7 +118,7 @@ let mark s = s.jdepth
 let ensure_capacity s n =
   let cap = Array.length s.xs in
   if n > cap then begin
-    let cap' = max n (2 * cap) in
+    let cap' = Int.max n (2 * cap) in
     let xs' = Array.make cap' 0. and vs' = Array.make cap' 0. in
     Array.blit s.xs 0 xs' 0 s.len;
     Array.blit s.vs 0 vs' 0 s.len;
@@ -114,8 +138,13 @@ let step_index s t =
   done;
   !lo
 
+(* Times before the first stored breakpoint were forgotten. *)
+let check_time fn s t =
+  if t < 0. then invalid_arg (fn ^ ": negative time");
+  if t < s.xs.(0) then invalid_arg (fn ^ ": time before the forgetting horizon")
+
 let value s t =
-  if t < 0. then invalid_arg "Staircase.value: negative time";
+  check_time "Staircase.value" s t;
   s.vs.(step_index s t)
 
 let final_value s = s.vs.(s.len - 1)
@@ -126,7 +155,7 @@ let final_value s = s.vs.(s.len - 1)
    every prefix entry and reached [from_] with its write cursor at
    [from_ - 1]: starting there produces the exact same array. *)
 let coalesce_from s from_ =
-  let w = ref (max 0 (from_ - 1)) in
+  let w = ref (Int.max 0 (from_ - 1)) in
   for r = !w + 1 to s.len - 1 do
     if abs_float (s.vs.(r) -. s.vs.(!w)) > eps then begin
       incr w;
@@ -138,6 +167,7 @@ let coalesce_from s from_ =
 
 let add_from s t delta =
   if t < 0. then invalid_arg "Staircase.add_from: negative time";
+  if t < s.horizon then invalid_arg "Staircase.add_from: time before the forgetting horizon";
   if not (Float.equal delta 0.) then begin
     let i = step_index s t in
     touch s i;
@@ -202,10 +232,11 @@ let add_range s t1 t2 delta =
     add_from s t2 (-.delta)
   end
 
+(* Rebuilds the tree at the stored size: the smallest power of two holding
+   [len] leaves. *)
 let grow_tree s =
-  let cap = Array.length s.xs in
   let ts = ref 1 in
-  while !ts < cap do
+  while !ts < s.len do
     ts := 2 * !ts
   done;
   s.tsize <- !ts;
@@ -228,7 +259,7 @@ let grow_tree s =
 let refresh_tree s =
   if s.tsize < s.len then grow_tree s
   else begin
-    let hi = max s.len s.tree_len - 1 in
+    let hi = Int.max s.len s.tree_len - 1 in
     if s.dirty_from <= hi then begin
       let a = s.dirty_from in
       for j = a to hi do
@@ -270,10 +301,12 @@ let min_from s t =
     l := !l / 2;
     r := !r / 2
   done;
-  !m
+  (* Before the first stored breakpoint, the forgotten steps count too. *)
+  if t < s.xs.(0) && s.forgotten_min < !m then s.forgotten_min else !m
 
 let min_on s t1 t2 =
   if t1 >= t2 then invalid_arg "Staircase.min_on: empty interval";
+  check_time "Staircase.min_on" s t1;
   let i = step_index s t1 in
   let m = ref s.vs.(i) in
   let j = ref (i + 1) in
@@ -284,7 +317,7 @@ let min_on s t1 t2 =
   !m
 
 let earliest_suffix_ge s ~level ~from =
-  if final_value s +. eps < level then None
+  if final_value s +. eps < level then infinity
   else begin
     refresh_tree s;
     (* The answer is the breakpoint following the last step whose value is
@@ -294,15 +327,18 @@ let earliest_suffix_ge s ~level ~from =
        a leaf with [vs +. eps < level]", preferring the right child, and so
        lands on the last such index.  Padding leaves are +infinity and never
        qualify, and the feasibility test above puts the found step strictly
-       before the final one, so the following breakpoint exists. *)
-    if s.tree.(1) +. eps >= level then Some from
+       before the final one, so the following breakpoint exists.  Only
+       stored steps take part: when the last step below [level] was dropped
+       by a compaction, the answer is [from] or a stored breakpoint, at most
+       [Float.max from horizon] like the true one. *)
+    if s.tree.(1) +. eps >= level then from
     else begin
       let k = ref 1 in
       while !k < s.tsize do
         let r = (2 * !k) + 1 in
         k := (if s.tree.(r) +. eps < level then r else 2 * !k)
       done;
-      Some (Float.max from s.xs.(!k - s.tsize + 1))
+      Float.max from s.xs.(!k - s.tsize + 1)
     end
   end
 
@@ -316,28 +352,58 @@ let min_from_scan s t =
   for j = i + 1 to s.len - 1 do
     if s.vs.(j) < !m then m := s.vs.(j)
   done;
-  !m
+  if t < s.xs.(0) && s.forgotten_min < !m then s.forgotten_min else !m
 
 let earliest_suffix_ge_scan s ~level ~from =
-  if final_value s +. eps < level then None
+  if final_value s +. eps < level then infinity
   else begin
     let answer = ref from in
     for j = 0 to s.len - 2 do
       if s.vs.(j) +. eps < level then answer := Float.max !answer s.xs.(j + 1)
     done;
-    Some !answer
+    !answer
+  end
+
+(* --- the forgetting horizon --- *)
+
+(* Drop the dead prefix: fold its values into [forgotten_min], slide the
+   live window to index 0 and rebuild the tree at the live size. *)
+let compact s =
+  let d = s.dead in
+  let m = ref s.forgotten_min in
+  for j = 0 to d - 1 do
+    if s.vs.(j) < !m then m := s.vs.(j)
+  done;
+  s.forgotten_min <- !m;
+  Array.blit s.xs d s.xs 0 (s.len - d);
+  Array.blit s.vs d s.vs 0 (s.len - d);
+  s.len <- s.len - d;
+  s.dead <- 0;
+  grow_tree s
+
+let forget_before s h =
+  if s.journaling then invalid_arg "Staircase.forget_before: the journal is on";
+  if h > s.horizon then begin
+    s.horizon <- h;
+    let keep = step_index s h - 1 in
+    if keep > s.dead then s.dead <- keep;
+    (* Compacting only once the dead prefix is half the stored steps makes
+       the O(len) slide amortised O(1) per step ever stored. *)
+    if s.dead > 0 && 2 * s.dead >= s.len then compact s
   end
 
 let breakpoints s =
-  let rec build i acc = if i < 0 then acc else build (i - 1) ((s.xs.(i), s.vs.(i)) :: acc) in
+  let rec build i acc =
+    if i < s.dead then acc else build (i - 1) ((s.xs.(i), s.vs.(i)) :: acc)
+  in
   build (s.len - 1) []
 
-let length s = s.len
+let length s = s.len - s.dead
 
 let pp ppf s =
   Format.fprintf ppf "@[<h>";
-  for i = 0 to s.len - 1 do
-    if i > 0 then Format.fprintf ppf " ";
+  for i = s.dead to s.len - 1 do
+    if i > s.dead then Format.fprintf ppf " ";
     Format.fprintf ppf "[%g:%g]" s.xs.(i) s.vs.(i)
   done;
   Format.fprintf ppf "@]"

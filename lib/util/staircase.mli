@@ -10,7 +10,13 @@
 
     A staircase [s] is defined on [\[0, +inf)]; [value s t] is constant
     between consecutive breakpoints and equal to the value attached to the
-    breakpoint at or before [t]. *)
+    breakpoint at or before [t].
+
+    A list scheduler only ever updates a staircase after some time that
+    rises as the schedule grows; {!forget_before} lets the owner declare
+    that time, after which the staircase stores only a live window of
+    steps plus the minimum of the forgotten ones (see the contract
+    there). *)
 
 type t
 
@@ -18,7 +24,9 @@ val create : float -> t
 (** [create v] is the constant function [t -> v]. *)
 
 val value : t -> float -> float
-(** [value s t] for [t >= 0]. *)
+(** [value s t] for [t >= 0].
+    @raise Invalid_argument before the first stored breakpoint (a forgotten
+    time). *)
 
 val final_value : t -> float
 (** Value on the unbounded last step. *)
@@ -28,7 +36,9 @@ val add_from : t -> float -> float -> unit
     [eps] of an existing breakpoint is snapped onto it instead of splitting
     the step: breakpoint times therefore always differ by more than [eps],
     so float dust (e.g. just-in-time transfer times computed as
-    [start -. comm]) cannot accumulate sliver steps. *)
+    [start -. comm]) cannot accumulate sliver steps.
+    @raise Invalid_argument when [t] is negative or below the horizon set
+    by {!forget_before}. *)
 
 val add_range : t -> float -> float -> float -> unit
 (** [add_range s t1 t2 delta] adds [delta] on [\[t1, t2)].  [t1 <= t2]. *)
@@ -36,35 +46,59 @@ val add_range : t -> float -> float -> float -> unit
 val min_from : t -> float -> float
 (** [min_from s t] is [inf { s t' | t' >= t }].  O(log len) via a lazily
     patched minimum segment tree (only the suffix a mutation touched is
-    re-derived, on the next query). *)
+    re-derived, on the next query).  Exact for [t = 0.] (the forgotten
+    minimum is folded in) and for every [t] at or after the first stored
+    breakpoint. *)
 
 val min_on : t -> float -> float -> float
-(** [min_on s t1 t2] is the minimum of [s] on [\[t1, t2)] ([t1 < t2]). *)
+(** [min_on s t1 t2] is the minimum of [s] on [\[t1, t2)] ([t1 < t2]).
+    @raise Invalid_argument when [t1] is a forgotten time. *)
 
-val earliest_suffix_ge : t -> level:float -> from:float -> float option
+val earliest_suffix_ge : t -> level:float -> from:float -> float
 (** [earliest_suffix_ge s ~level ~from] is the smallest [t >= from] such that
-    [s t' >= level] for every [t' >= t], or [None] when the final step is
+    [s t' >= level] for every [t' >= t], or [infinity] when the final step is
     below [level] (the paper's [task_mem_EST] / [comm_mem_EST] primitives).
     A small epsilon tolerance absorbs floating-point dust from repeated
-    updates.  O(log len): a descent of the minimum segment tree. *)
+    updates.  O(log len): a descent of the minimum segment tree.  Exact
+    whenever the last step below [level] is live; when that step has been
+    forgotten, the answer and the exact one are both at most
+    [Float.max from h], [h] the horizon of {!forget_before}. *)
 
 val min_from_scan : t -> float -> float
 (** Pre-optimisation O(len) reference for {!min_from} — kept for the A/B
     property tests, the test and fuzz oracle for {!min_from}. *)
 
-val earliest_suffix_ge_scan : t -> level:float -> from:float -> float option
+val earliest_suffix_ge_scan : t -> level:float -> from:float -> float
 (** Pre-optimisation O(len) reference for {!earliest_suffix_ge}. *)
 
+(** {2 The forgetting horizon} *)
+
+val forget_before : t -> float -> unit
+(** [forget_before s h] declares that no later {!add_from} lands before [h]
+    (a smaller [h] than the current horizon is ignored).  The staircase then
+    keeps the steps from the one before the step containing [h] on (the
+    live window) and the minimum of the values before it, compacting its
+    arrays once the dead prefix is half of the stored steps (amortised
+    O(1) per step ever stored).  Contract: {!final_value} stays exact, and
+    so does [min_from s 0.] (the minimum of the forgotten minimum and the
+    stored steps); {!earliest_suffix_ge} is exact whenever the last step
+    below its level is live and at most [Float.max from h] otherwise;
+    {!add_from} below [h] raises [Invalid_argument].  An update at or after
+    [h] rewrites the live window exactly as it rewrites the full history.
+    @raise Invalid_argument while the journal is on (see {!set_journal}). *)
+
 val breakpoints : t -> (float * float) list
-(** Normalised breakpoint list [(x, v)]: value [v] holds on [\[x, x')] where
-    [x'] is the next breakpoint.  First breakpoint is at time [0.]. *)
+(** Normalised breakpoint list [(x, v)] of the live window: value [v] holds
+    on [\[x, x')] where [x'] is the next breakpoint.  The first breakpoint
+    is at time [0.] until the first {!forget_before}. *)
 
 val length : t -> int
-(** Number of stored breakpoints (after lazy coalescing). *)
+(** Number of live breakpoints (after lazy coalescing). *)
 
 val copy : t -> t
-(** Deep copy of the current function.  The copy starts with journaling off
-    and an empty journal regardless of the source's journal state. *)
+(** Deep copy of the current function, horizon included.  The copy starts
+    with journaling off and an empty journal regardless of the source's
+    journal state. *)
 
 (** {2 Mutation journal}
 

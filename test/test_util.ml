@@ -119,28 +119,20 @@ let test_stair_min_on () =
 let test_stair_suffix () =
   let s = Staircase.create 10. in
   Staircase.add_range s 2. 4. (-6.);
-  (match Staircase.earliest_suffix_ge s ~level:5. ~from:0. with
-  | Some t -> check_float "suffix after dip" 4. t
-  | None -> Alcotest.fail "expected a time");
-  (match Staircase.earliest_suffix_ge s ~level:3. ~from:0. with
-  | Some t -> check_float "level below dip: immediately" 0. t
-  | None -> Alcotest.fail "expected a time");
-  (match Staircase.earliest_suffix_ge s ~level:3. ~from:1. with
-  | Some t -> check_float "from respected" 1. t
-  | None -> Alcotest.fail "expected a time")
+  check_float "suffix after dip" 4. (Staircase.earliest_suffix_ge s ~level:5. ~from:0.);
+  check_float "level below dip: immediately" 0. (Staircase.earliest_suffix_ge s ~level:3. ~from:0.);
+  check_float "from respected" 1. (Staircase.earliest_suffix_ge s ~level:3. ~from:1.)
 
 let test_stair_suffix_infeasible () =
   let s = Staircase.create 10. in
   Staircase.add_from s 3. (-8.);
-  check_bool "tail too low" true (Staircase.earliest_suffix_ge s ~level:5. ~from:0. = None)
+  check_float "tail too low" infinity (Staircase.earliest_suffix_ge s ~level:5. ~from:0.)
 
 let test_stair_infinite_capacity () =
   let s = Staircase.create infinity in
   Staircase.add_from s 1. (-5.);
   check_float "still infinite" infinity (Staircase.value s 2.);
-  match Staircase.earliest_suffix_ge s ~level:1e12 ~from:0. with
-  | Some t -> check_float "always feasible" 0. t
-  | None -> Alcotest.fail "infinite capacity must be feasible"
+  check_float "always feasible" 0. (Staircase.earliest_suffix_ge s ~level:1e12 ~from:0.)
 
 let test_stair_copy_isolated () =
   let s = Staircase.create 5. in
@@ -202,8 +194,9 @@ let stair_fast_queries_match_scan =
           Float.equal (Staircase.min_from s t) (Staircase.min_from_scan s t)
           && List.for_all
                (fun level ->
-                 Staircase.earliest_suffix_ge s ~level ~from:t
-                 = Staircase.earliest_suffix_ge_scan s ~level ~from:t)
+                 Float.equal
+                   (Staircase.earliest_suffix_ge s ~level ~from:t)
+                   (Staircase.earliest_suffix_ge_scan s ~level ~from:t))
                [ 30.; 45.; 50.; 50.5; 60. ])
         probes)
 
@@ -267,9 +260,9 @@ let stair_suffix_is_correct =
           (List.init 45 Fun.id)
         && Staircase.final_value s +. 1e-6 >= level
       in
-      match Staircase.earliest_suffix_ge s ~level ~from:0. with
-      | None -> not (ok_from 21.)
-      | Some t -> ok_from t && (Float.equal t 0. || not (ok_from (t -. 0.25))))
+      let t = Staircase.earliest_suffix_ge s ~level ~from:0. in
+      if Float.equal t infinity then not (ok_from 21.)
+      else ok_from t && (Float.equal t 0. || not (ok_from (t -. 0.25))))
 
 (* The journal must restore the staircase bit-for-bit: after [undo_to] the
    breakpoint list (times and values) and the final value equal those of a
@@ -298,6 +291,66 @@ let stair_journal_undo_bitwise =
       let inner_ok = same_as c2 in
       Staircase.undo_to s m1;
       inner_ok && same_as c1)
+
+(* The forgetting-horizon contract: twin staircases take the same random
+   updates, one of them also forgets at random rising horizons, and every
+   update lands at or after the current horizon (times on a half-integer
+   grid above it, jittered eps-close to breakpoints).  After every step the
+   forgetting twin must keep the exact final value and global minimum, the
+   same breakpoints from its live start on, and the same earliest-suffix
+   answers whenever the full answer comes from a live step (both answers
+   at most the horizon otherwise); an update below the horizon raises. *)
+let stair_forget_twin =
+  qtest ~count:300 "forget_before keeps the live window exact"
+    QCheck.(
+      list_of_size (Gen.int_range 0 150)
+        (quad (int_range 0 3) (int_range 0 6) (int_range (-3) 3) (int_range 0 4)))
+    (fun ops ->
+      let jit = [| 0.; 1e-12; -1e-12; 4e-10; 1e-8 |] in
+      let full = Staircase.create 50. and twin = Staircase.create 50. in
+      let h = ref 0. in
+      let levels = [ 40.; 45.; 49.; 50.; 50.5; 55.; 60. ] in
+      (* The last non-final step of the full history below [level]. *)
+      let rec last_below level acc = function
+        | [] | [ _ ] -> acc
+        | (x, v) :: rest -> last_below level (if v +. 1e-9 < level then Some x else acc) rest
+      in
+      let same () =
+        let bps_full = Staircase.breakpoints full and bps_twin = Staircase.breakpoints twin in
+        let live_start = fst (List.hd bps_twin) in
+        let suffix_ok level =
+          let a_full = Staircase.earliest_suffix_ge full ~level ~from:0. in
+          let a_twin = Staircase.earliest_suffix_ge twin ~level ~from:0. in
+          match last_below level None bps_full with
+          | Some x when x >= live_start -> Float.equal a_full a_twin
+          | _ -> Float.equal a_full a_twin || (a_full <= !h && a_twin <= !h)
+        in
+        Float.equal (Staircase.final_value full) (Staircase.final_value twin)
+        && Float.equal (Staircase.min_from full 0.) (Staircase.min_from twin 0.)
+        && List.equal
+             (fun (x, v) (x', v') -> Float.equal x x' && Float.equal v v')
+             (List.filter (fun (x, _) -> x >= live_start) bps_full)
+             bps_twin
+        && List.for_all suffix_ok levels
+      in
+      let step (kind, a, d, j) =
+        let t = Float.max !h (!h +. (float_of_int a /. 2.) +. jit.(j)) in
+        if kind = 0 then begin
+          h := t;
+          Staircase.forget_before twin t
+        end
+        else if d <> 0 then begin
+          Staircase.add_from full t (float_of_int d);
+          Staircase.add_from twin t (float_of_int d)
+        end;
+        same ()
+      in
+      List.for_all step ops
+      && (!h < 0.5
+         ||
+         match Staircase.add_from twin (!h -. 0.5) 1. with
+         | () -> false
+         | exception Invalid_argument _ -> true))
 
 (* ----------------------------------------------------------------- Fp --- *)
 
@@ -529,7 +582,8 @@ let () =
           stair_min_from_brute;
           stair_matches_reference;
           stair_suffix_is_correct;
-          stair_journal_undo_bitwise ] );
+          stair_journal_undo_bitwise;
+          stair_forget_twin ] );
       ( "fp",
         [ fp_lb_plus_sound;
           Alcotest.test_case "lb_plus cases" `Quick test_fp_lb_plus_exact;

@@ -85,10 +85,15 @@ online-smoke: build
 	@echo "online-smoke OK"
 
 # Fixed-seed differential-fuzzing smoke run: 500 cases through the whole
-# oracle registry (lib/check), on the parallel runtime.  Any violation
-# exits non-zero and serialises the shrunk instance into test/corpus/.
+# oracle registry (lib/check), serially and on the parallel runtime.  Any
+# violation exits non-zero and serialises the shrunk instance into
+# test/corpus/; the two reports must be byte-identical.
 fuzz-smoke: build
-	dune exec bin/memsched_cli.exe -- check --cases 500 --seed 42 --jobs 2
+	mkdir -p $(TMP)
+	dune exec bin/memsched_cli.exe -- check --cases 500 --seed 42 --jobs 2 > $(TMP)/fuzz_jobs2.out; status=$$?; cat $(TMP)/fuzz_jobs2.out; exit $$status
+	dune exec bin/memsched_cli.exe -- check --cases 500 --seed 42 --jobs 1 > $(TMP)/fuzz_jobs1.out
+	cmp $(TMP)/fuzz_jobs1.out $(TMP)/fuzz_jobs2.out
+	@echo "fuzz-smoke OK"
 
 # Tier-1 verification plus a smoke run of the parallel runtime: the CLI is
 # driven end-to-end with --jobs 2 (multistart over the domain pool, then a

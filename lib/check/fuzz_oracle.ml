@@ -461,49 +461,6 @@ let o_jobs_invariance =
     doc = "multistart and campaign CSV rows are bit-identical across jobs counts";
     check }
 
-(* The static harness as a dynamic oracle: `check --oracle lint` (and every
-   full-registry campaign) asserts the repository itself stays lint-clean,
-   keeping the static and differential checks in one CLI.  The verdict is a
-   pure function of the source tree, not of the fuzz instance, so it is
-   computed once and memoised — through an Atomic, since oracles run on pool
-   domains (the exact domain-safety discipline the rule enforces). *)
-let lint_repo_root () =
-  let is_root dir =
-    Sys.file_exists (Filename.concat dir "dune-project")
-    && Sys.file_exists (Filename.concat dir "lint.allowlist")
-  in
-  let rec up dir depth =
-    if depth > 8 then None
-    else if is_root dir then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent (depth + 1)
-  in
-  up (Sys.getcwd ()) 0
-
-let lint_verdict : verdict option Atomic.t = Atomic.make None
-
-let o_lint =
-  let compute () =
-    match lint_repo_root () with
-    | None -> Skip "repo root (dune-project + lint.allowlist) not reachable from cwd"
-    | Some root -> (
-      match Lint_engine.run ~root () with
-      | Error msg -> Fail [ msg ]
-      | Ok [] -> Pass
-      | Ok findings -> Fail (List.map Lint_finding.to_text findings))
-  in
-  let check _cfg (_ : Fuzz_instance.t) =
-    match Atomic.get lint_verdict with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      (* A racing domain computed the same pure verdict; either wins. *)
-      ignore (Atomic.compare_and_set lint_verdict None (Some v));
-      v
-  in
-  { name = "lint"; doc = "the source tree stays clean under the lib/lint static-analysis rules"; check }
-
 (* ---------------------------------------------------- scenario oracles --- *)
 
 let online_algos = [ Online.Heft_like; Online.Minmin_like ]
@@ -736,7 +693,7 @@ let o_sim_parity =
 let all =
   [ o_validator; o_lower_bound; o_reference; o_exact; o_exact_agreement; o_infeasibility;
     o_serialization; o_wire; o_jobs_invariance; o_sim_parity; o_noise0_fixpoint;
-    o_online_dominance; o_replay_determinism; o_lint ]
+    o_online_dominance; o_replay_determinism ]
 
 let names = List.map (fun o -> o.name) all
 let find name = List.find_opt (fun o -> o.name = name) all

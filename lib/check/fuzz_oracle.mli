@@ -33,7 +33,8 @@ type t = {
 val all : t list
 (** The full registry: [validator], [lower-bound], [reference-agreement],
     [exact-dominates], [exact-agreement], [infeasibility], [serialization],
-    [wire-roundtrip], [jobs-invariance], [sim-parity], [lint].
+    [wire-roundtrip], [jobs-invariance], [sim-parity], [noise0-fixpoint],
+    [online-dominance], [replay-determinism].
 
     [exact-agreement] cross-checks three independent routes to the optimum
     on tiny instances: the commit/undo branch-and-bound ({!Exact.solve}),
@@ -59,15 +60,7 @@ val all : t list
     error phase, and with a jobs=2 pool vs serial),
     {!Events.memory_trace} vs {!Events.memory_trace_reference} (bit-equal
     arrays) and {!Sched_stats.compute} vs {!Sched_stats.compute_reference}
-    (every field).
-
-    [lint] folds the static harness into the dynamic one: it runs
-    {!Lint_engine.run} over the repository containing the current working
-    directory (located by walking up to a [dune-project] +
-    [lint.allowlist] pair; [Skip] when none is found, e.g. under dune's
-    sandbox) and fails on any finding.  The verdict is memoised per
-    process — it depends on the source tree only, so it is also trivially
-    jobs-invariant. *)
+    (every field). *)
 
 val names : string list
 val find : string -> t option

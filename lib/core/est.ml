@@ -14,7 +14,6 @@ type estimate = {
   pool : int;
   est : float;
   eft : float;
-  comm_batch : float;
 }
 
 let default_durations g = [| Dag.Csr.w_blue g; Dag.Csr.w_red g |]
@@ -208,16 +207,16 @@ let finish c i q =
     c.eft.(q) <- est +. w
   end
 
-(* One cache-linear CSR walk of the predecessors for pools [lo..hi],
+(* One cache-linear CSR walk of the predecessors for every pool,
    allocation-free: a parent on pool [q] feeds [q]'s precedence EST, and is a
    cross parent of every other pool — its edge id lands in that pool's
    scratch row and the aggregates (total cross size, max transfer time,
    earliest cross producer finish, precedence EST) accumulate in that pool's
-   slot.  Each pool sees the predecessors in row order, so the result does
-   not depend on which other pools share the walk.  Caller guarantees [i] is
-   ready. *)
-let walk c i lo hi =
-  for q = lo to hi do
+   slot.  Each pool sees the predecessors in row order, so a pool's result
+   does not depend on the others.  Caller guarantees [i] is ready. *)
+let walk c i =
+  let hi = c.n_pools - 1 in
+  for q = 0 to hi do
     c.n_cross.(q) <- 0;
     c.cross_in.(q) <- 0.;
     c.c_batch.(q) <- 0.;
@@ -230,7 +229,7 @@ let walk c i lo hi =
     if mj < 0 then invalid_arg "Sched_state: parent not assigned";
     let e = c.pred_eid.(p) in
     let aft_j = c.aft.(j) in
-    for q = lo to hi do
+    for q = 0 to hi do
       if q = mj then begin
         if aft_j > c.prec.(q) then c.prec.(q) <- aft_j
       end
@@ -247,20 +246,13 @@ let walk c i lo hi =
     done
   done
 
-let estimate c i q = { task = i; pool = q; est = c.est.(q); eft = c.eft.(q); comm_batch = c.c_batch.(q) }
-
-let estimate_ready c i q =
-  walk c i q q;
-  finish c i q;
-  if c.fits.(q) then Some (estimate c i q) else None
-
 (* Every pool from one walk.  A pool that fits is lifted to the release
    floor in place ([est' = max(est, floor)], [eft'] recomputed from the
    duration, not shifted) and then compared with the incumbent pool:
    minimum EFT, ties to the earlier EST, then to the incumbent — the lower
    pool, as the pools are met in order. *)
 let probe c i ~not_before =
-  walk c i 0 (c.n_pools - 1);
+  walk c i;
   let floor = not_before.(i) in
   let best = ref (-1) in
   for q = 0 to c.n_pools - 1 do
@@ -282,3 +274,4 @@ let probe c i ~not_before =
 
 let fits c q = c.fits.(q)
 let eft c q = c.eft.(q)
+let estimate c i q = { task = i; pool = q; est = c.est.(q); eft = c.eft.(q) }

@@ -43,7 +43,6 @@ type estimate = {
   pool : int;  (** the memory pool the estimate places the task on *)
   est : float;  (** earliest execution start time *)
   eft : float;  (** [est + W^(pool)] *)
-  comm_batch : float;  (** [C^(pool)(i)]: max transfer time over cross parents *)
 }
 
 val default_durations : Dag.t -> float array array
@@ -77,16 +76,13 @@ val make :
     [free], [procs] and [min_avail] are indexed by pool; [pool_code] holds
     [-1] for an unassigned task, its pool otherwise. *)
 
-val estimate_ready : ctx -> int -> int -> estimate option
-(** EST/EFT of a task on one pool, or [None] when it cannot fit.  The
-    caller must guarantee the task is ready (all parents assigned). *)
-
 val probe : ctx -> int -> not_before:float array -> int
-(** [probe c i ~not_before] evaluates ready task [i] on every pool from a
-    single predecessor walk into the context's per-pool slots — each pool
-    bit-identical to an {!estimate_ready} call, then lifted to the release
-    floor [not_before.(i)] ([est' = max(est, floor)], [eft'] recomputed from
-    the duration) — and returns the minimum-EFT pool (ties: the earlier EST,
+(** [probe c i ~not_before] evaluates ready task [i] (all parents
+    assigned) on every pool from a single predecessor walk into the
+    context's per-pool slots — each pool bit-identical to
+    [Sched_state.Reference.estimate], then lifted to the release floor
+    [not_before.(i)] ([est' = max(est, floor)], [eft'] recomputed from the
+    duration) — and returns the minimum-EFT pool (ties: the earlier EST,
     then the lower pool), or [-1] when no pool fits.  Builds no estimate
     record. *)
 

@@ -313,17 +313,7 @@ type estimate = Est.estimate = {
   pool : int;
   est : float;
   eft : float;
-  comm_batch : float;
 }
-
-let estimate t i q = if not (is_ready t i) then None else Est.estimate_ready t.est_ctx i q
-
-(* The one place a release floor enters an estimate: [est' = max(est,
-   not_before)], [eft' = est' + W^(pool)] recomputed from the durations (not
-   shifted).  An estimate the floor does not bind is returned as is. *)
-let lift_estimate t ~not_before e =
-  if e.est >= not_before then e
-  else { e with est = not_before; eft = not_before +. t.durations.(e.pool).(e.task) }
 
 let probe t ~not_before i = if not (is_ready t i) then -1 else Est.probe t.est_ctx i ~not_before
 let probe_fits t q = Est.fits t.est_ctx q
@@ -642,13 +632,13 @@ module Reference = struct
     match suffix_ge free ~level:task_level with
     | None -> None
     | Some t_task -> (
-      if Float.equal cross_in 0. then Some (t_task, c_batch)
+      if Float.equal cross_in 0. then Some t_task
       else begin
         match t.options.comm_mode with
         | Jit_batched -> (
           match suffix_ge free ~level:cross_in with
           | None -> None
-          | Some t_comm -> Some (Float.max t_task (Fp.lb_plus t_comm c_batch), c_batch))
+          | Some t_comm -> Some (Float.max t_task (Fp.lb_plus t_comm c_batch)))
         | Jit_per_edge ->
           let sorted =
             List.sort
@@ -663,10 +653,10 @@ module Reference = struct
               | None -> None
               | Some t_k -> prefixes acc (Float.max lb (Fp.lb_plus t_k e.Dag.comm)) rest)
           in
-          Option.map (fun lb -> (Float.max t_task lb, c_batch)) (prefixes 0. 0. sorted)
+          Option.map (Float.max t_task) (prefixes 0. 0. sorted)
         | Eager -> (
           match suffix_ge free ~level:cross_in with
-          | Some t_comm when t_comm <= min_cross_aft +. eps -> Some (t_task, c_batch)
+          | Some t_comm when t_comm <= min_cross_aft +. eps -> Some t_task
           | _ -> None)
       end)
 
@@ -675,11 +665,11 @@ module Reference = struct
     else begin
       match memory_lb t i q with
       | None -> None
-      | Some (mem_lb, c_batch) ->
+      | Some mem_lb ->
         let lb = Float.max mem_lb (precedence_est t i q) in
         let w = t.durations.(q).(i) in
         let est = resource_est t q ~lb ~w in
-        Some { task = i; pool = q; est; eft = est +. w; comm_batch = c_batch }
+        Some { task = i; pool = q; est; eft = est +. w }
     end
 
   (* Minimum EFT; ties go to the earlier EST, then to the lower pool. *)

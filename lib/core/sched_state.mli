@@ -6,8 +6,8 @@
     finish times.  Pools are numbered as in {!Platform}; the state never
     assumes there are two.
 
-    {!estimate} computes the earliest start time of a task on a memory as the
-    maximum of the four components of §5.1 —
+    {!probe} computes the earliest start time of a task on every memory as
+    the maximum of the four components of §5.1 —
     [resource_EST], [precedence_EST], [task_mem_EST] and
     [comm_mem_EST + C^(mu)] — and {!commit} applies a decision, scheduling
     every incoming cross-memory transfer and updating the memory profiles.
@@ -111,33 +111,25 @@ type estimate = Est.estimate = {
   pool : int;  (** the memory pool the estimate places the task on *)
   est : float;  (** earliest execution start time *)
   eft : float;  (** [est + W^(pool)] *)
-  comm_batch : float;  (** [C^(pool)(i)]: max transfer time over cross parents *)
 }
-
-val estimate : t -> int -> int -> estimate option
-(** [estimate t i q]: [None] when the task is not ready or cannot fit in
-    pool [q] (the paper's [EFT = +infinity] case).  Evaluated by {!Est}
-    over the flat CSR views: one allocation-free predecessor walk. *)
-
-val lift_estimate : t -> not_before:float -> estimate -> estimate
-(** Applies a release floor: [est' = max(est, not_before)] and
-    [eft' = est' + W^(pool)], recomputed from the state's durations rather
-    than shifted.  Returns the estimate itself when the floor does not bind.
-    Lifting keeps a feasible estimate feasible under [Earliest_available]:
-    staircase feasibility is a suffix minimum (later suffixes have no
-    smaller minimum), transfer windows move later with the start, and every
-    processor available by [est] is still available by [est']. *)
 
 val probe : t -> not_before:float array -> int -> int
 (** [probe t ~not_before i] evaluates task [i] on every pool from a single
-    predecessor walk, into per-pool slots of the state — each pool
-    bit-identical to {!estimate}, lifted by the task's release floor
-    [not_before.(i)] ({!lift_estimate}; zero floors never bind) — and
-    returns the minimum-EFT pool (ties: earlier EST, then the lower pool),
-    or [-1] when no pool fits or the task is not ready.  Floors are lifted
-    before the comparison, so a floor can flip the winning pool when it
-    erases another pool's head start.  Builds no estimate record: read the
-    slots with the functions below until the next probe or commit. *)
+    allocation-free predecessor walk over the flat CSR views ({!Est}), into
+    per-pool slots of the state — each pool bit-identical to
+    {!Reference.estimate} — and returns the minimum-EFT pool (ties: earlier
+    EST, then the lower pool), or [-1] when no pool fits (the paper's
+    [EFT = +infinity] case) or the task is not ready.  A fitting pool is
+    lifted to the task's release floor first: [est' = max(est,
+    not_before.(i))] and [eft' = est' + W^(pool)], recomputed from the
+    durations rather than shifted (zero floors never bind).  Lifting keeps
+    a feasible estimate feasible under [Earliest_available]: staircase
+    feasibility is a suffix minimum (later suffixes have no smaller
+    minimum), transfer windows move later with the start, and every
+    processor available by [est] is still available by [est'].  Floors are
+    lifted before the comparison, so a floor can flip the winning pool when
+    it erases another pool's head start.  Builds no estimate record: read
+    the slots with the functions below until the next probe or commit. *)
 
 val probe_fits : t -> int -> bool
 (** [probe_fits t q]: whether pool [q] fitted in the last {!probe}. *)
@@ -183,9 +175,9 @@ val snapshot_schedule : t -> Schedule.t
 
 (** Pre-optimisation reference implementations, kept verbatim: O(n)
     ready-set rescans, three predecessor-list traversals per estimate, and
-    linear staircase scans.  A test and fuzz oracle: the A/B test suite and
-    the fuzzer's [o_reference] oracle assert the optimised paths above are
-    bit-identical to these. *)
+    linear staircase scans.  A test and fuzz oracle: the A/B test suite,
+    the fuzzer's [o_reference] oracle and [Exact.solve_reference] assert
+    the optimised paths above are bit-identical to these. *)
 module Reference : sig
   val create : ?options:options -> Dag.t -> Platform.t -> t
   (** The [create] above with the default durations, except that the state
@@ -195,5 +187,8 @@ module Reference : sig
 
   val ready_tasks : t -> int list
   val estimate : t -> int -> int -> estimate option
+  (** [estimate t i q]: task [i] on pool [q], unlifted; [None] when the
+      task is not ready or cannot fit in the pool. *)
+
   val best_estimate : t -> int -> estimate option
 end

@@ -38,12 +38,14 @@ let status_of best_schedule capped =
 
 (* Pre-overhaul copy-based search, kept verbatim as the A/B reference (the
    qtests assert the undo-based solver visits the same tree node for node and
-   agrees with the dominance/frontier solver whenever both certify).  The only
+   agrees with the dominance/frontier solver whenever both certify).  The
    edits relative to the original are the float-discipline fixes the lint
    cannot see syntactically ([Float.compare] on the [eft] record fields,
    [Option.is_none] instead of polymorphic [= None]) — both are
-   behaviour-identical for non-nan floats — and the trivially-derived
-   [best_bound] field the overhaul added to [result]. *)
+   behaviour-identical for non-nan floats — the trivially-derived
+   [best_bound] field the overhaul added to [result], and the planning
+   state: [Sched_state.Reference], so the reference shares neither the
+   estimate code nor the forgetting horizon with the search it checks. *)
 let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platform =
   let n = Dag.n_tasks g in
   let pools = List.init (Platform.n_pools platform) Fun.id in
@@ -69,14 +71,14 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
         end
       end
       else begin
-        let ready = Sched_state.ready_tasks state in
+        let ready = Sched_state.Reference.ready_tasks state in
         (* Candidate decisions with their optimistic completion bound. *)
         let candidates =
           List.concat_map
             (fun i ->
               List.filter_map
                 (fun q ->
-                  match Sched_state.estimate state i q with
+                  match Sched_state.Reference.estimate state i q with
                   | Some e ->
                     let lb = Float.max current_max (e.Sched_state.est +. bottom.(i)) in
                     if lb >= !incumbent -. eps then None else Some (e, lb)
@@ -94,7 +96,7 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
             if lb < !incumbent -. eps && not !capped then begin
               let child = Sched_state.copy state in
               (* Estimates are state-dependent: recompute on the copy. *)
-              match Sched_state.estimate child e.Sched_state.task e.Sched_state.pool with
+              match Sched_state.Reference.estimate child e.Sched_state.task e.Sched_state.pool with
               | Some e' ->
                 Sched_state.commit child e';
                 explore child (Float.max current_max e'.Sched_state.eft)
@@ -104,7 +106,7 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
       end
     end
   in
-  explore (Sched_state.create g platform) 0.;
+  explore (Sched_state.Reference.create g platform) 0.;
   let status = status_of !best_schedule !capped in
   {
     status;
@@ -128,7 +130,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
     ?(seed_incumbent = true) g platform =
   if frontier < 1 then invalid_arg "Exact.solve: frontier must be >= 1";
   let n = Dag.n_tasks g in
-  let pools = List.init (Platform.n_pools platform) Fun.id in
+  let n_pools = Platform.n_pools platform in
   let bottom = bottom_levels g in
   let seed_val, seed_sched =
     if seed_incumbent then seed_heuristics g platform else (infinity, None)
@@ -183,11 +185,38 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
       0.
       (Sched_state.ready_tasks state)
   in
+  (* The decisions a node branches on, with their optimistic completion
+     bound [max(current_max, est + bottom)]: every pool that fits, of every
+     ready task, whose bound beats the incumbent — in ascending (task, pool)
+     order, then stably sorted by EFT.  One probe per ready task evaluates
+     all its pools.  The precedence-only prescreen skips the probe when even
+     [parents_finish + bottom] cannot beat the incumbent: every pool's EST is
+     at least the latest parent finish, so the bound filter would drop all
+     of that task's pools anyway and the list is unchanged. *)
+  let zero_floors = Array.make n 0. in
+  let candidates state ~current_max ~incumbent =
+    let acc = ref [] in
+    Sched_state.iter_ready state (fun i ->
+        if
+          Float.max current_max (parents_finish state i +. bottom.(i)) < incumbent -. eps
+          && Sched_state.probe state ~not_before:zero_floors i >= 0
+        then
+          for q = 0 to n_pools - 1 do
+            if Sched_state.probe_fits state q then begin
+              let e = Sched_state.probe_estimate state i q in
+              let lb = Float.max current_max (e.Sched_state.est +. bottom.(i)) in
+              if lb < incumbent -. eps then acc := (e, lb) :: !acc
+            end
+          done);
+    List.sort
+      (fun (a, _) (b, _) -> Float.compare a.Sched_state.eft b.Sched_state.eft)
+      (List.rev !acc)
+  in
   (* In-place depth-first search over a trailing state: commit, recurse,
      uncommit.  With [dominance = false] the control flow replicates
-     [solve_reference] exactly (same candidate generation, same order, same
-     budget checks), so the two visit the same tree node for node — the A/B
-     qtests assert exactly that. *)
+     [solve_reference] exactly (same candidates, same order, same budget
+     checks), so the two visit the same tree node for node — the A/B qtests
+     assert exactly that. *)
   let search state ~start_max ~budget ~incumbent0 =
     let inc = ref incumbent0 in
     let found = ref None in
@@ -223,36 +252,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
               (if Hashtbl.length tbl < transposition_cap then Hashtbl.add tbl key ();
                false)
           in
-          if not dominated then begin
-            let ready = Sched_state.ready_tasks state in
-            let candidates =
-              List.concat_map
-                (fun i ->
-                  (* Precedence-only prescreen: for every pool,
-                     [est >= max parent AFT], so when even that cheap bound
-                     cannot beat the incumbent all per-pool estimates are
-                     dead on arrival — skip computing them.  The skipped
-                     entries would have been dropped by the [lb] filter
-                     below, so the candidate list (and hence the tree and
-                     the reference parity) is unchanged. *)
-                  let prec = parents_finish state i in
-                  if Float.max current_max (prec +. bottom.(i)) >= !inc -. eps then []
-                  else
-                    List.filter_map
-                      (fun q ->
-                        match Sched_state.estimate state i q with
-                        | Some e ->
-                          let lb = Float.max current_max (e.Sched_state.est +. bottom.(i)) in
-                          if lb >= !inc -. eps then None else Some (e, lb)
-                        | None -> None)
-                      pools)
-                ready
-            in
-            let candidates =
-              List.sort
-                (fun (a, _) (b, _) -> Float.compare a.Sched_state.eft b.Sched_state.eft)
-                candidates
-            in
+          if not dominated then
             List.iter
               (fun (e, lb) ->
                 if lb < !inc -. eps && not !cap then begin
@@ -261,8 +261,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
                   Sched_state.uncommit state
                 end
                 else if !cap && lb < !inc -. eps && lb < !olb then olb := lb)
-              candidates
-          end
+              (candidates state ~current_max ~incumbent:!inc)
         end
       end
     in
@@ -274,109 +273,80 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
     Sched_state.set_trail st true;
     st
   in
-  if frontier = 1 then begin
-    (* No decomposition: one search over the whole tree. *)
-    let inc, found, nodes, cap, olb = search (fresh_state ()) ~start_max:0. ~budget:node_limit ~incumbent0:!incumbent in
-    total_nodes := nodes;
-    if cap then capped := true;
-    if olb < !open_lb then open_lb := olb;
-    (match found with
-    | Some s when inc < !incumbent -. eps ->
-      incumbent := inc;
-      best := Some s
-    | _ -> ())
-  end
-  else begin
-    (* Breadth-first expansion of the root into a frontier of subtree roots.
-       The frontier size is a fixed constant — never a function of the pool's
-       job count — so the decomposition, every subtree budget, every node
-       count and hence every output byte is identical for every --jobs value;
-       the pool only changes how many subtrees run at once.  Each queue entry
-       is a decision prefix (reversed) plus the max EFT along it; prefixes are
-       replayed onto one trailing state to expand them. *)
-    let state = fresh_state () in
-    let replay prefix = List.iter (fun e -> Sched_state.commit state e) (List.rev prefix) in
-    let unreplay prefix = List.iter (fun _ -> Sched_state.uncommit state) prefix in
-    let roots = Queue.create () in
-    Queue.add ([], 0.) roots;
-    let continue = ref true in
-    while !continue && not (Queue.is_empty roots) && Queue.length roots < frontier do
-      let prefix, pmax = Queue.take roots in
-      if !total_nodes >= node_limit then begin
-        capped := true;
-        if pmax < !open_lb then open_lb := pmax;
-        continue := false
-      end
-      else begin
-        incr total_nodes;
-        replay prefix;
-        if Sched_state.n_assigned state = n then begin
-          if pmax < !incumbent -. eps then begin
-            incumbent := pmax;
-            best := Some (Sched_state.snapshot_schedule state)
-          end
+  (* Breadth-first expansion of the root into a frontier of subtree roots.
+     The frontier size is a fixed constant — never a function of the pool's
+     job count — so the decomposition, every subtree budget, every node count
+     and hence every output byte is identical for every --jobs value; the
+     pool only changes how many subtrees run at once.  Each queue entry is a
+     decision prefix (reversed) plus the max EFT along it; prefixes are
+     replayed onto one trailing state to expand them.  With [frontier = 1]
+     nothing is expanded and the root is the one subtree, searched with the
+     whole budget. *)
+  let state = fresh_state () in
+  let replay prefix = List.iter (fun e -> Sched_state.commit state e) (List.rev prefix) in
+  let unreplay prefix = List.iter (fun _ -> Sched_state.uncommit state) prefix in
+  let roots = Queue.create () in
+  Queue.add ([], 0.) roots;
+  let continue = ref true in
+  while !continue && not (Queue.is_empty roots) && Queue.length roots < frontier do
+    let prefix, pmax = Queue.take roots in
+    if !total_nodes >= node_limit then begin
+      capped := true;
+      if pmax < !open_lb then open_lb := pmax;
+      continue := false
+    end
+    else begin
+      incr total_nodes;
+      replay prefix;
+      if Sched_state.n_assigned state = n then begin
+        if pmax < !incumbent -. eps then begin
+          incumbent := pmax;
+          best := Some (Sched_state.snapshot_schedule state)
         end
-        else if (not dominance) || Float.max pmax (prec_bound state) < !incumbent -. eps then begin
-          let candidates =
-            List.concat_map
-              (fun i ->
-                List.filter_map
-                  (fun q ->
-                    match Sched_state.estimate state i q with
-                    | Some e ->
-                      let lb = Float.max pmax (e.Sched_state.est +. bottom.(i)) in
-                      if lb >= !incumbent -. eps then None else Some (e, lb)
-                    | None -> None)
-                  pools)
-              (Sched_state.ready_tasks state)
-          in
-          let candidates =
-            List.sort (fun (a, _) (b, _) -> Float.compare a.Sched_state.eft b.Sched_state.eft) candidates
-          in
-          List.iter
-            (fun (e, _) -> Queue.add (e :: prefix, Float.max pmax e.Sched_state.eft) roots)
-            candidates
-        end;
-        unreplay prefix
       end
-    done;
-    let subtrees = List.of_seq (Queue.to_seq roots) in
-    let have_subtrees = match subtrees with [] -> false | _ :: _ -> true in
-    if !capped || !total_nodes >= node_limit then begin
-      (* Budget exhausted during expansion: the remaining roots are abandoned
-         open parts of the tree. *)
-      if have_subtrees then capped := true;
-      List.iter (fun (_, pmax) -> if pmax < !open_lb then open_lb := pmax) subtrees
+      else if (not dominance) || Float.max pmax (prec_bound state) < !incumbent -. eps then
+        List.iter
+          (fun (e, _) -> Queue.add (e :: prefix, Float.max pmax e.Sched_state.eft) roots)
+          (candidates state ~current_max:pmax ~incumbent:!incumbent);
+      unreplay prefix
     end
-    else if have_subtrees then begin
-      let budget_per = max 1 ((node_limit - !total_nodes) / List.length subtrees) in
-      (* Freeze the incumbent at split time: workers never share improvements
-         (cross-worker sharing would make pruning depend on completion order,
-         i.e. on the job count). *)
-      let split_incumbent = !incumbent in
-      let solve_subtree (prefix, pmax) =
-        let st = fresh_state () in
-        List.iter (fun e -> Sched_state.commit st e) (List.rev prefix);
-        search st ~start_max:pmax ~budget:budget_per ~incumbent0:split_incumbent
-      in
-      let results =
-        match pool with
-        | Some p -> Par.parallel_map p ~f:solve_subtree subtrees
-        | None -> List.map solve_subtree subtrees
-      in
-      (* Merge in subtree order — deterministic and jobs-invariant. *)
-      List.iter
-        (fun (inc, found, nodes, cap, olb) ->
-          total_nodes := !total_nodes + nodes;
-          if cap then capped := true;
-          if olb < !open_lb then open_lb := olb;
-          match found with
-          | Some s when inc < !incumbent -. eps ->
-            incumbent := inc;
-            best := Some s
-          | _ -> ())
-        results
-    end
+  done;
+  let subtrees = List.of_seq (Queue.to_seq roots) in
+  let have_subtrees = match subtrees with [] -> false | _ :: _ -> true in
+  if !capped || !total_nodes >= node_limit then begin
+    (* Budget exhausted during expansion: the remaining roots are abandoned
+       open parts of the tree. *)
+    if have_subtrees then capped := true;
+    List.iter (fun (_, pmax) -> if pmax < !open_lb then open_lb := pmax) subtrees
+  end
+  else if have_subtrees then begin
+    let budget_per = max 1 ((node_limit - !total_nodes) / List.length subtrees) in
+    (* Freeze the incumbent at split time: workers never share improvements
+       (cross-worker sharing would make pruning depend on completion order,
+       i.e. on the job count). *)
+    let split_incumbent = !incumbent in
+    let solve_subtree (prefix, pmax) =
+      let st = fresh_state () in
+      List.iter (fun e -> Sched_state.commit st e) (List.rev prefix);
+      search st ~start_max:pmax ~budget:budget_per ~incumbent0:split_incumbent
+    in
+    let results =
+      match pool with
+      | Some p -> Par.parallel_map p ~f:solve_subtree subtrees
+      | None -> List.map solve_subtree subtrees
+    in
+    (* Merge in subtree order — deterministic and jobs-invariant. *)
+    List.iter
+      (fun (inc, found, nodes, cap, olb) ->
+        total_nodes := !total_nodes + nodes;
+        if cap then capped := true;
+        if olb < !open_lb then open_lb := olb;
+        match found with
+        | Some s when inc < !incumbent -. eps ->
+          incumbent := inc;
+          best := Some s
+        | _ -> ())
+      results
   end;
   let status = status_of !best !capped in
   let best_bound =
@@ -393,8 +363,3 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
     best_bound;
     nodes = !total_nodes;
   }
-
-let optimal_makespan ?pool ?node_limit g platform =
-  match solve ?pool ?node_limit g platform with
-  | { status = Proven_optimal; makespan; _ } -> Some makespan
-  | _ -> None

@@ -63,7 +63,8 @@ val solve :
     [frontier] is the number of subtree roots the breadth-first split aims
     for; it must stay a constant across runs for outputs to be comparable
     (it is {e not} derived from the pool size, precisely so results are
-    jobs-invariant).  [frontier = 1] disables decomposition entirely.
+    jobs-invariant).  [frontier = 1] disables decomposition: the root is
+    the one subtree, searched with the whole budget.
     [dominance = false] disables the node lower bound and the transposition
     set; combined with [frontier = 1] the search replicates
     {!solve_reference} node for node (asserted by the A/B qtests).
@@ -73,8 +74,7 @@ val solve :
     total node count can exceed [node_limit] by at most the frontier size. *)
 
 val solve_reference : ?node_limit:int -> ?seed_incumbent:bool -> Dag.t -> Platform.t -> result
-(** The pre-overhaul search, verbatim: copies the whole scheduler state at
-    every node and prunes only with [est + bottom] against the incumbent. *)
-
-val optimal_makespan : ?pool:Par.t -> ?node_limit:int -> Dag.t -> Platform.t -> float option
-(** Convenience: [Some makespan] when [Proven_optimal], [None] otherwise. *)
+(** The pre-overhaul search: copies the whole scheduler state at every node
+    and prunes only with [est + bottom] against the incumbent.  It plans on
+    {!Sched_state.Reference} states and estimates, so it shares neither the
+    estimate code nor the forgetting horizon with {!solve}. *)

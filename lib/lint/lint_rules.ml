@@ -108,7 +108,7 @@ let float_returning =
     "Float.of_int"; "Float.of_string"; "Float.abs"; "Float.round"; "Float.rem"; "Float.pow";
     "Float.succ"; "Float.pred"; "Float.min"; "Float.max"; "Float.add"; "Float.sub";
     "Float.mul"; "Float.div"; "Fp.lb_plus"; "Staircase.value"; "Staircase.final_value";
-    "Staircase.min_from"; "Staircase.min_on"; "Staircase.min_from_scan";
+    "Staircase.min_from"; "Staircase.min_from_scan";
     "Staircase.earliest_suffix_ge"; "Staircase.earliest_suffix_ge_scan" ]
 
 let float_consts =

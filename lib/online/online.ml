@@ -8,7 +8,7 @@
    priority order and candidate set are filtered by {!View}.
 
    Release floors are folded into the estimates by lifting
-   ({!Sched_state.lift_estimate}): a task released at [r] gets
+   ({!Sched_state.probe}): a task released at [r] gets
    [est' = max(est, r)] and [eft' = est' + W^(pool)].  Lifting a feasible
    estimate keeps it feasible under [Earliest_available], the one processor
    policy the online layer runs.  Under [Batch] every floor is [0.], no

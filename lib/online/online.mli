@@ -8,7 +8,7 @@
     a task before it arrives.
 
     Release floors enter as estimate lifts ([est' = max(est, release)],
-    {!Sched_state.lift_estimate}).  The planner runs the default
+    {!Sched_state.probe}).  The planner runs the default
     [Earliest_available] processor policy, under which a lift preserves
     feasibility: the staircase check is a suffix minimum and every other
     component is monotone in the start time.  Under {!Arrival.Batch} no lift

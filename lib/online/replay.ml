@@ -5,8 +5,8 @@
    release floors, but every estimate recomputed from the realized costs —
    so starts, transfers and finish times shift with the noise while the
    decisions stand.  Memory caps are enforced by the estimate machinery
-   itself: a planned decision whose realized footprint no longer fits yields
-   no estimate, which is a divergence.
+   itself: a planned decision whose realized footprint no longer fits its
+   planned pool in the probe is a divergence.
 
    Divergence handling is the rescheduling policy.  [No_repair] gives up —
    the baseline measuring how brittle a committed plan is.  [Rerank_repair]
@@ -57,20 +57,21 @@ let run ~policy (plan : Online.plan) realized platform =
   let replayed = ref 0 in
   let rec follow = function
     | [] -> Ok 0
-    | (d : Online.decision) :: rest -> (
-      let i = d.Online.d_task in
-      match Sched_state.estimate state i d.Online.d_pool with
-      | Some e ->
-        Sched_state.commit state (Sched_state.lift_estimate state ~not_before:not_before.(i) e);
+    | (d : Online.decision) :: rest ->
+      let i = d.Online.d_task and q = d.Online.d_pool in
+      if Sched_state.probe state ~not_before i >= 0 && Sched_state.probe_fits state q then begin
+        Sched_state.commit state (Sched_state.probe_estimate state i q);
         incr replayed;
         follow rest
-      | None -> (
+      end
+      else begin
         (* The planned decision no longer fits under realized costs. *)
         match policy with
         | No_repair ->
           fail state
             (Printf.sprintf "replay diverged at task %d: planned decision infeasible under realized costs" i)
-        | Rerank_repair -> repair state ~not_before))
+        | Rerank_repair -> repair state ~not_before
+      end
   in
   match follow plan.Online.p_decisions with
   | Error f -> Error f

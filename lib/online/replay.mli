@@ -4,10 +4,10 @@
     floors — is re-executed on the realized graph through a fresh
     {!Sched_state}; starts and finishes shift with the noise while the
     decisions stand.  Memory caps are enforced by the estimate machinery: a
-    planned decision whose realized footprint no longer fits yields no
-    estimate, which is a {e divergence} and triggers the rescheduling
-    policy.  Planned decisions keep their release floors
-    ({!Sched_state.lift_estimate}); the replay runs the default
+    planned decision whose realized footprint no longer fits its planned
+    pool in {!Sched_state.probe} is a {e divergence} and triggers the
+    rescheduling policy.  Planned decisions keep their release floors (the
+    probe lifts [est' = max(est, release)]); the replay runs the default
     [Earliest_available] processor policy, under which a lifted estimate
     stays feasible.
 

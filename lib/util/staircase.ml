@@ -225,13 +225,6 @@ let undo_to s m =
         s.jdepth <- s.jdepth - 1
   done
 
-let add_range s t1 t2 delta =
-  if t1 > t2 then invalid_arg "Staircase.add_range: t1 > t2";
-  if t1 < t2 && not (Float.equal delta 0.) then begin
-    add_from s t1 delta;
-    add_from s t2 (-.delta)
-  end
-
 (* Rebuilds the tree at the stored size: the smallest power of two holding
    [len] leaves. *)
 let grow_tree s =
@@ -303,18 +296,6 @@ let min_from s t =
   done;
   (* Before the first stored breakpoint, the forgotten steps count too. *)
   if t < s.xs.(0) && s.forgotten_min < !m then s.forgotten_min else !m
-
-let min_on s t1 t2 =
-  if t1 >= t2 then invalid_arg "Staircase.min_on: empty interval";
-  check_time "Staircase.min_on" s t1;
-  let i = step_index s t1 in
-  let m = ref s.vs.(i) in
-  let j = ref (i + 1) in
-  while !j < s.len && s.xs.(!j) < t2 do
-    if s.vs.(!j) < !m then m := s.vs.(!j);
-    incr j
-  done;
-  !m
 
 let earliest_suffix_ge s ~level ~from =
   if final_value s +. eps < level then infinity

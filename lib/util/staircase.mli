@@ -40,19 +40,12 @@ val add_from : t -> float -> float -> unit
     @raise Invalid_argument when [t] is negative or below the horizon set
     by {!forget_before}. *)
 
-val add_range : t -> float -> float -> float -> unit
-(** [add_range s t1 t2 delta] adds [delta] on [\[t1, t2)].  [t1 <= t2]. *)
-
 val min_from : t -> float -> float
 (** [min_from s t] is [inf { s t' | t' >= t }].  O(log len) via a lazily
     patched minimum segment tree (only the suffix a mutation touched is
     re-derived, on the next query).  Exact for [t = 0.] (the forgotten
     minimum is folded in) and for every [t] at or after the first stored
     breakpoint. *)
-
-val min_on : t -> float -> float -> float
-(** [min_on s t1 t2] is the minimum of [s] on [\[t1, t2)] ([t1 < t2]).
-    @raise Invalid_argument when [t1] is a forgotten time. *)
 
 val earliest_suffix_ge : t -> level:float -> from:float -> float
 (** [earliest_suffix_ge s ~level ~from] is the smallest [t >= from] such that

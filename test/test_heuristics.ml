@@ -119,8 +119,16 @@ let ranks_dominate_children =
 (* Two tasks across memories: A on blue, then estimate/commit B on red. *)
 let ab_graph () = build_dag ~tasks:[ ("A", 2., 2.); ("B", 2., 2.) ] ~edges:[ (0, 1, 3., 1.) ]
 
+(* Task [i] on pool [q] from one probe with zero floors; [None] when the
+   task is not ready or the pool does not fit. *)
+let estimate st i q =
+  let zero_floors = Array.make (Dag.n_tasks (Sched_state.graph st)) 0. in
+  if Sched_state.probe st ~not_before:zero_floors i >= 0 && Sched_state.probe_fits st q then
+    Some (Sched_state.probe_estimate st i q)
+  else None
+
 let commit_on st i q =
-  match Sched_state.estimate st i q with
+  match estimate st i q with
   | Some e ->
     Sched_state.commit st e;
     e
@@ -135,14 +143,13 @@ let test_estimate_cross_memory () =
   let ea = commit_on st 0 blue in
   check_float "A starts immediately" 0. ea.Sched_state.est;
   check_float "A finish recorded" 2. (Sched_state.finish_time st 0);
-  (match Sched_state.estimate st 1 red with
+  (match estimate st 1 red with
   | Some e ->
     (* precedence: AFT(A) + C = 3; transfer occupies [2, 3). *)
     check_float "B EST across memories" 3. e.Sched_state.est;
-    check_float "B EFT" 5. e.Sched_state.eft;
-    check_float "comm batch" 1. e.Sched_state.comm_batch
+    check_float "B EFT" 5. e.Sched_state.eft
   | None -> Alcotest.fail "feasible");
-  (match Sched_state.estimate st 1 blue with
+  (match estimate st 1 blue with
   | Some e -> check_float "B EST same memory" 2. e.Sched_state.est
   | None -> Alcotest.fail "feasible");
   let _ = commit_on st 1 red in
@@ -160,7 +167,7 @@ let test_estimate_memory_infeasible () =
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:2. in
   let st = Sched_state.create g p in
   let _ = commit_on st 0 blue in
-  check_bool "red infeasible" true (Sched_state.estimate st 1 red = None);
+  check_bool "red infeasible" true (Option.is_none (estimate st 1 red));
   check_int "falls back to blue" blue
     (Sched_state.probe st ~not_before:(Array.make (Dag.n_tasks g) 0.) 1)
 
@@ -169,20 +176,20 @@ let test_estimate_output_infeasible () =
   (* A's own output (3 units) exceeds both memories: nothing is schedulable. *)
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:2. ~m_red:2. in
   let st = Sched_state.create g p in
-  check_bool "blue none" true (Sched_state.estimate st 0 blue = None);
-  check_bool "red none" true (Sched_state.estimate st 0 red = None)
+  check_bool "blue none" true (Option.is_none (estimate st 0 blue));
+  check_bool "red none" true (Option.is_none (estimate st 0 red))
 
 let test_estimate_not_ready () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  check_bool "B has unscheduled parent" true (Sched_state.estimate st 1 blue = None)
+  check_bool "B has unscheduled parent" true (Option.is_none (estimate st 1 blue))
 
 let test_commit_rejects_double () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
   let st = Sched_state.create g p in
-  let e = Option.get (Sched_state.estimate st 0 blue) in
+  let e = Option.get (estimate st 0 blue) in
   Sched_state.commit st e;
   Alcotest.check_raises "double commit"
     (Invalid_argument "Sched_state.commit: task already assigned") (fun () ->
@@ -198,7 +205,7 @@ let test_state_copy_isolated () =
   check_int "copy frozen" 1 (Sched_state.n_assigned snap);
   check_int "original advanced" 2 (Sched_state.n_assigned st);
   check_bool "copy can continue independently" true
-    (Sched_state.estimate snap 1 blue <> None)
+    (Option.is_some (estimate snap 1 blue))
 
 let test_free_mem_final_tracks_retained () =
   let g = ab_graph () in
@@ -243,13 +250,13 @@ let test_batched_vs_per_edge () =
   let est_of options =
     let g, d, e, a, bb, x = build () in
     let st = Sched_state.create ~options g p in
-    let commit i q = Sched_state.commit st (Option.get (Sched_state.estimate st i q)) in
+    let commit i q = Sched_state.commit st (Option.get (estimate st i q)) in
     commit d red;
     commit e red;
     (* D's 8-unit file occupies red until E completes at t = 2. *)
     commit a blue;
     commit bb blue;
-    (Option.get (Sched_state.estimate st x red)).Sched_state.est
+    (Option.get (estimate st x red)).Sched_state.est
   in
   let per_edge = est_of Sched_state.default_options in
   let batched =

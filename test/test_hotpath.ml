@@ -130,6 +130,97 @@ let ab_random_property =
       && digest_result (Heuristics.memminmin g p)
          = digest_result (Heuristics.memminmin_reference g p))
 
+(* ------------------------------------------- probe vs reference estimate --- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Along MemHEFT runs on fuzz-family instances, under every comm mode and
+   processor policy, every pool of every ready task: a probe with zero
+   floors must reproduce [Sched_state.Reference.estimate] bit for bit, and
+   a floor above every pool's EST must give [est = floor] and
+   [eft = floor +. w].  A forgetting state and a full-history reference
+   state run in lockstep, each committing its own estimate, so the probes
+   also read staircases cut at the horizon, and the pools that lose the
+   probe (the ones [Exact] branches on) are checked, not only the winner. *)
+let probe_matches_reference =
+  qtest ~count:100 "probe = Reference.estimate on every pool" seed_arb (fun seed ->
+      let inst = Fuzz_gen.instance (Rng.create seed) in
+      let g = inst.Fuzz_instance.dag and p = inst.Fuzz_instance.platform in
+      let n = Dag.n_tasks g and k = Platform.n_pools p in
+      let zero_floors = Array.make n 0. in
+      let order = Rank.priority_list g in
+      let run options =
+        let st = Sched_state.create ~options g p in
+        let rf = Sched_state.Reference.create ~options g p in
+        let ok = ref true in
+        let expect cond = if not cond then ok := false in
+        let check_pools i =
+          let reference = Array.init k (Sched_state.Reference.estimate rf i) in
+          let best = Sched_state.probe st ~not_before:zero_floors i in
+          expect (Bool.equal (best >= 0) (Array.exists Option.is_some reference));
+          if best >= 0 then
+            Array.iteri
+              (fun q r ->
+                match r with
+                | None -> expect (not (Sched_state.probe_fits st q))
+                | Some e ->
+                  let e' = Sched_state.probe_estimate st i q in
+                  expect (Sched_state.probe_fits st q);
+                  expect (e'.Sched_state.task = i && e'.Sched_state.pool = q);
+                  expect (same_bits e.Sched_state.est e'.Sched_state.est);
+                  expect (same_bits e.Sched_state.eft e'.Sched_state.eft))
+              reference;
+          (* A binding floor on every fitting pool. *)
+          let floor =
+            Array.fold_left
+              (fun acc r -> Option.fold ~none:acc ~some:(fun e -> Float.max acc e.Sched_state.est) r)
+              0. reference
+            +. 1.
+          in
+          let floors = Array.make n 0. in
+          floors.(i) <- floor;
+          if Sched_state.probe st ~not_before:floors i >= 0 then
+            Array.iteri
+              (fun q r ->
+                if Option.is_some r then begin
+                  let e' = Sched_state.probe_estimate st i q in
+                  expect (same_bits e'.Sched_state.est floor);
+                  expect (same_bits e'.Sched_state.eft (floor +. Sched_state.duration st i q))
+                end)
+              reference
+        in
+        (* MemHEFT's rule: commit the first task of the order that is ready
+           and fits, until none does. *)
+        let rec step () =
+          List.iter check_pools (Sched_state.Reference.ready_tasks rf);
+          expect
+            (List.equal Int.equal (Sched_state.ready_tasks st) (Sched_state.Reference.ready_tasks rf));
+          let pick =
+            Array.find_opt
+              (fun i ->
+                Sched_state.is_ready st i && Sched_state.probe st ~not_before:zero_floors i >= 0)
+              order
+          in
+          match pick with
+          | None -> ()
+          | Some i ->
+            let q = Sched_state.probe st ~not_before:zero_floors i in
+            (match Sched_state.Reference.estimate rf i q with
+            | Some e -> Sched_state.commit rf e
+            | None -> ok := false);
+            Sched_state.commit st (Sched_state.probe_estimate st i q);
+            if !ok then step ()
+        in
+        step ();
+        !ok
+      in
+      List.for_all
+        (fun comm_mode ->
+          List.for_all
+            (fun proc_policy -> run { Sched_state.comm_mode; proc_policy })
+            [ Sched_state.Earliest_available; Sched_state.Insertion ])
+        [ Sched_state.Jit_per_edge; Sched_state.Jit_batched; Sched_state.Eager ])
+
 (* ------------------------------------------------ campaign jobs identity --- *)
 
 let test_csv_jobs_identity () =
@@ -157,6 +248,6 @@ let test_csv_jobs_identity () =
 let () =
   Alcotest.run "hotpath"
     [ ("golden digests", golden_tests);
-      ("optimised vs reference", ab_tests @ [ ab_random_property ]);
+      ("optimised vs reference", ab_tests @ [ ab_random_property; probe_matches_reference ]);
       ("jobs identity", [ Alcotest.test_case "campaign CSV bytes" `Quick test_csv_jobs_identity ])
     ]

@@ -391,12 +391,6 @@ let test_exact_node_budget () =
   check_bool "not proven" true
     (r.Exact.status = Exact.Feasible || r.Exact.status = Exact.Unknown)
 
-let test_exact_optimal_makespan () =
-  Alcotest.(check (option (float 1e-9))) "helper" (Some 7.)
-    (Exact.optimal_makespan dex (dex_platform 4.));
-  Alcotest.(check (option (float 1e-9))) "infeasible" None
-    (Exact.optimal_makespan dex (dex_platform 3.))
-
 let exact_dominates_heuristics =
   qtest ~count:15 "exact <= heuristics, >= lower bound"
     QCheck.(int_range 0 500)
@@ -548,6 +542,55 @@ let exact_jobs_invariant =
           check_bool case true (exact_same_for_jobs ~node_limit:2_000 ~jobs:[ 1; 2; 8 ] g p))
         (fixed ());
       random () )
+
+(* MD5 pins of both solvers' (status, makespan bits, best-bound bits, nodes)
+   on the fixed cases of "exact solve is jobs-invariant" at 2 000 nodes and
+   on 20 random 7-task seeds at 0.8x HEFT's peak and 20 000 nodes: any
+   change to the candidate order, a pruning decision or an estimate bit
+   moves a node count or a makespan bit.  Each case is (name, node budget,
+   instances, [solve] pin, [solve_reference] pin). *)
+let exact_pin_cases () =
+  let capped alpha g p0 =
+    let peak = Outcome.peak_max (Outcome.run Heuristics.HEFT g p0) in
+    (g, Platform.with_bounds p0 ~m_blue:(alpha *. peak) ~m_red:(alpha *. peak))
+  in
+  [ ("lu n=6", 2_000, [ capped 0.7 (Workloads.lu ~n:6 ()) Workloads.platform_mirage ],
+     "b98f2afff7435d5474cbe252e235aafd", "823822a1755519103b2d1d50faa6f153");
+    ("cholesky n=6", 2_000, [ capped 0.7 (Workloads.cholesky ~n:6 ()) Workloads.platform_mirage ],
+     "877c9b951185911d5c78ee2f7523d86f", "20580d081c7b4f1e64b945bd4cb60499");
+    ("fork_join width 8", 2_000,
+     [ (Toy.fork_join ~width:8 ~w:1. ~f:1. ~c:1., Platform.make ~p_blue:2 ~p_red:1 ~m_blue:8. ~m_red:8.) ],
+     "f2df325472b269795d68fc79a85824c7", "a1d437a8acb63cbbbbdcadf3c4df1417");
+    ("random 7-task seeds 0-19", 20_000,
+     List.init 20 (fun seed ->
+         capped 0.8 (dag_of_seed ~size:7 seed) (Platform.unbounded ~p_blue:2 ~p_red:2)),
+     "83b487d8ac188a423af11709f9611ece", "420385bc0374fdee055f138bd53cdc31") ]
+
+let exact_pin_digest solve instances =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (g, p) ->
+      let r : Exact.result = solve g p in
+      let status =
+        match r.Exact.status with
+        | Exact.Proven_optimal -> "optimal"
+        | Exact.Feasible -> "feasible"
+        | Exact.Proven_infeasible -> "infeasible"
+        | Exact.Unknown -> "unknown"
+      in
+      Printf.bprintf b "%s %Lx %Lx %d\n" status (bits r.Exact.makespan) (bits r.Exact.best_bound)
+        r.Exact.nodes)
+    instances;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_exact_pins () =
+  List.iter
+    (fun (case, node_limit, instances, solve_pin, reference_pin) ->
+      check_string (case ^ ": solve") solve_pin
+        (exact_pin_digest (fun g p -> Exact.solve ~node_limit g p) instances);
+      check_string (case ^ ": solve_reference") reference_pin
+        (exact_pin_digest (fun g p -> Exact.solve_reference ~node_limit g p) instances))
+    (exact_pin_cases ())
 
 (* ---------------------------------------------------------- properties --- *)
 
@@ -795,7 +838,6 @@ let () =
         [ Alcotest.test_case "dex paper values" `Quick test_exact_dex_paper_values;
           Alcotest.test_case "schedule validates" `Quick test_exact_schedule_validates;
           Alcotest.test_case "node budget" `Quick test_exact_node_budget;
-          Alcotest.test_case "optimal_makespan" `Quick test_exact_optimal_makespan;
           exact_dominates_heuristics;
           exact_schedules_validate;
           Alcotest.test_case "proven infeasible" `Quick test_exact_proven_infeasible;
@@ -803,6 +845,7 @@ let () =
           Alcotest.test_case "best bound" `Quick test_exact_best_bound;
           exact_undo_matches_reference;
           exact_dominance_agrees_with_reference;
-          exact_jobs_invariant ] );
+          exact_jobs_invariant;
+          Alcotest.test_case "pinned results of solve and solve_reference" `Quick test_exact_pins ] );
       ("property",
         [ lp_roundtrip_property; mip_warm_matches_cold; simplex_matches_vertex_enumeration ]) ]

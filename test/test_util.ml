@@ -95,30 +95,18 @@ let test_stair_add_from () =
   check_float "released" 10. (Staircase.value s 5.);
   check_float "middle still low" 7. (Staircase.value s 3.)
 
-let test_stair_add_range () =
-  let s = Staircase.create 0. in
-  Staircase.add_range s 1. 4. 2.;
-  check_float "in range" 2. (Staircase.value s 2.);
-  check_float "outside left" 0. (Staircase.value s 0.5);
-  check_float "outside right" 0. (Staircase.value s 4.)
-
 let test_stair_min_from () =
   let s = Staircase.create 10. in
-  Staircase.add_range s 2. 4. (-6.);
+  Staircase.add_from s 2. (-6.);
+  Staircase.add_from s 4. 6.;
   check_float "min over all" 4. (Staircase.min_from s 0.);
   check_float "min after dip" 10. (Staircase.min_from s 4.);
   check_float "min inside dip" 4. (Staircase.min_from s 3.)
 
-let test_stair_min_on () =
-  let s = Staircase.create 10. in
-  Staircase.add_range s 2. 4. (-6.);
-  check_float "window before dip" 10. (Staircase.min_on s 0. 2.);
-  check_float "window over dip" 4. (Staircase.min_on s 0. 3.);
-  check_float "window after" 10. (Staircase.min_on s 4. 9.)
-
 let test_stair_suffix () =
   let s = Staircase.create 10. in
-  Staircase.add_range s 2. 4. (-6.);
+  Staircase.add_from s 2. (-6.);
+  Staircase.add_from s 4. 6.;
   check_float "suffix after dip" 4. (Staircase.earliest_suffix_ge s ~level:5. ~from:0.);
   check_float "level below dip: immediately" 0. (Staircase.earliest_suffix_ge s ~level:3. ~from:0.);
   check_float "from respected" 1. (Staircase.earliest_suffix_ge s ~level:3. ~from:1.)
@@ -569,9 +557,7 @@ let () =
       ( "staircase",
         [ Alcotest.test_case "constant" `Quick test_stair_constant;
           Alcotest.test_case "add_from" `Quick test_stair_add_from;
-          Alcotest.test_case "add_range" `Quick test_stair_add_range;
           Alcotest.test_case "min_from" `Quick test_stair_min_from;
-          Alcotest.test_case "min_on" `Quick test_stair_min_on;
           Alcotest.test_case "earliest_suffix_ge" `Quick test_stair_suffix;
           Alcotest.test_case "suffix infeasible" `Quick test_stair_suffix_infeasible;
           Alcotest.test_case "infinite capacity" `Quick test_stair_infinite_capacity;

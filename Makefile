@@ -38,11 +38,17 @@ lint-debt: build
 # at under 142.3 words per task (their reading, 127.3-127.4, plus 15 for
 # the GC-state noise of the count), so a per-probe allocation in the shared
 # scheduling loops or staircases that keep their whole history fail the
-# gate.
+# gate.  A traced serve-open run must pass every check with no failed op,
+# and the daemon must hold a finished response for under 5 times the
+# median compute time at the median (it read ~10 times while it held the
+# head of the line until the next frame arrived); a run whose generator ran
+# over 5 ms late at p99 is void and passes.
 bench-pipeline-smoke: build
 	mkdir -p $(TMP)
 	bash bench/pipeline/run.sh --workload lu-big --seed 1 --trace 1 > $(TMP)/pipeline_lu_big.out
 	tail -n 1 $(TMP)/pipeline_lu_big.out | jq -e '.correct == true and .failed == 0 and ((.metrics["validate.ns_per_task"].value + .metrics["trace.ns_per_task"].value + .metrics["stats.ns_per_task"].value) * 1005720 < 1e10) and .metrics["memheft.ns_per_task"].value < 1e5 and .metrics["dag.alloc_words_per_task"].value < 200 and .metrics["heft.alloc_words_per_task"].value < 142.3 and .metrics["memheft.alloc_words_per_task"].value < 142.3' > /dev/null
+	bash bench/pipeline/run.sh --workload serve-open --seed 1 --trace 1 > $(TMP)/pipeline_serve_open.out
+	tail -n 1 $(TMP)/pipeline_serve_open.out | jq -e '.correct == true and .failed == 0 and (.metrics["loadgen.late_p99_ms"].value > 5 or .metrics["server.hold_p50_ms"].value < 5 * .metrics["dispatch.p50_ms"].value)' > /dev/null
 	@echo "bench-pipeline-smoke OK"
 
 # End-to-end smoke of the scheduling daemon: a fixed-seed DAG through every

@@ -5,11 +5,18 @@
    pure [Serve_dispatch.compute_bytes].  That confinement is what makes the
    daemon deterministic — cache lookups happen in arrival order, responses
    are emitted in arrival order (head-of-line, via [Par.poll]), and no
-   counter is ever racing a worker. *)
+   counter is ever racing a worker.  The one thing a worker touches besides
+   its own result is its job's [finished] flag and one byte into the
+   loop's wake-up pipe, so a finished head of the line is written while
+   the loop waits for input. *)
+
+(* An in-flight computation.  [finished] is set (and the wake-up pipe
+   rung) as the thunk returns, a moment before [fut] resolves. *)
+type job = { fut : string Par.future; finished : bool Atomic.t }
 
 type entry =
   | Ready of string  (* response body bytes, good to write *)
-  | Running of string option * string Par.future  (* cache key (if caching) + in-flight compute *)
+  | Running of string option * job  (* cache key (if caching) + in-flight compute *)
 
 type counters = {
   served : int;
@@ -79,17 +86,50 @@ let read_frame ~stop fd =
       | Eof | Short -> `Proto Wire.Truncated
       | Stopped -> `Stopped)
 
+(* ------------------------------------------------------------ wake-up --- *)
+
+(* A self-pipe, non-blocking at both ends: a pool worker writes one byte
+   when its computation finishes, so one [Unix.select] waits for input and
+   for completions alike. *)
+type waker = { wake_r : Unix.file_descr; wake_w : Unix.file_descr }
+
+let open_waker () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  { wake_r; wake_w }
+
+(* Runs on a worker.  A full pipe already holds an unread wake-up. *)
+let rec ring w =
+  match Unix.single_write_substring w.wake_w "!" 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ring w
+
+let drain_wakes w =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read w.wake_r buf 0 64 with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  in
+  go ()
+
 (* --------------------------------------------------------------- serve --- *)
 
 let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~output () =
   if max_inflight < 1 then invalid_arg "Server.serve: max_inflight must be >= 1";
   let pending : (int64 * entry) Queue.t = Queue.create () in
-  (* Identical requests still in flight share one future (keyed by the
+  (* Identical requests still in flight share one job (keyed by the
      same canonical digest as the cache), so a duplicate burst computes
      once and — crucially — a hit/miss verdict depends only on whether the
      key appeared earlier in the stream, never on completion timing.
      Confined to this loop like the cache; never iterated. *)
-  let inflight : (string, string Par.future) Hashtbl.t = Hashtbl.create 16 in
+  let inflight : (string, job) Hashtbl.t = Hashtbl.create 16 in
+  (* A serial pool resolves every future at submission, so only a
+     multi-domain pool needs waking. *)
+  let waker = match pool with Some p when Par.jobs p > 1 -> Some (open_waker ()) | _ -> None in
   let served = ref 0 and requests = ref 0 and computed = ref 0 in
   let protocol_errors = ref 0 and hits = ref 0 and misses = ref 0 and high_water = ref 0 in
   let emit_front () =
@@ -97,8 +137,8 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
     let body =
       match entry with
       | Ready b -> b
-      | Running (key, fut) ->
-        let b = Par.await fut in
+      | Running (key, j) ->
+        let b = Par.await j.fut in
         (match (cache, key) with
         | Some c, Some k ->
           Serve_cache.add c k b;
@@ -116,7 +156,9 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
     while (not !blocked) && not (Queue.is_empty pending) do
       match Queue.peek pending with
       | _, Ready _ -> emit_front ()
-      | _, Running (_, fut) -> if Par.poll fut then emit_front () else blocked := true
+      | _, Running (_, j) ->
+        (* [Par.await] waits out the gap between [finished] and resolution. *)
+        if Atomic.get j.finished || Par.poll j.fut then emit_front () else blocked := true
     done
   in
   let push id entry =
@@ -137,9 +179,20 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
     incr computed;
     match pool with
     | Some pool ->
-      let fut = Par.submit pool (fun () -> Serve_dispatch.compute_bytes req) in
-      (match key with Some k -> Hashtbl.replace inflight k fut | None -> ());
-      Running (key, fut)
+      let finished = Atomic.make false in
+      let compute () = Serve_dispatch.compute_bytes req in
+      let thunk =
+        match waker with
+        | None -> compute
+        | Some w ->
+          fun () ->
+            Fun.protect compute ~finally:(fun () ->
+                Atomic.set finished true;
+                ring w)
+      in
+      let j = { fut = Par.submit pool thunk; finished } in
+      (match key with Some k -> Hashtbl.replace inflight k j | None -> ());
+      Running (key, j)
     | None -> (
       let b = Serve_dispatch.compute_bytes req in
       match (cache, key) with
@@ -164,11 +217,11 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
           push req.Wire.id (Ready body)
         | None -> (
           match Hashtbl.find_opt inflight key with
-          | Some fut ->
-            (* A duplicate of a request still computing: share its future;
+          | Some j ->
+            (* A duplicate of a request still computing: share its job;
                the original pending entry owns the cache insertion. *)
             incr hits;
-            push req.Wire.id (Running (None, fut))
+            push req.Wire.id (Running (None, j))
           | None ->
             incr misses;
             push req.Wire.id (submit ~key:(Some key) req))))
@@ -189,8 +242,26 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
       let id = Option.value (Wire.peek_request_id payload) ~default:0L in
       answer_error id e
   in
+  (* Before a read, with a pool: while the head of the line is still
+     computing, wait for input or for a completion, whichever comes first,
+     so a finished head is written without waiting for the next frame.
+     [false] when [stop] interrupted the wait. *)
+  let rec await_input w =
+    drain_ready ();
+    match Queue.peek_opt pending with
+    | Some (_, Running _) -> (
+      match Unix.select [ input; w.wake_r ] [] [] (-1.) with
+      | readable, _, _ ->
+        if List.mem w.wake_r readable then drain_wakes w;
+        List.mem input readable || await_input w
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> (not (stop ())) && await_input w
+      (* a descriptor beyond select's range: block in the read as without a pool *)
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> true)
+    | Some (_, Ready _) | None -> true
+  in
+  let input_due () = match waker with None -> true | Some w -> await_input w in
   let rec loop () =
-    if not (stop ()) then
+    if (not (stop ())) && input_due () then
       match read_frame ~stop input with
       | `Eof | `Stopped -> ()
       | `Frame payload ->
@@ -201,12 +272,29 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
            answer it, then flow into the drain path as if at EOF. *)
         answer_error 0L e
   in
-  (try
-     loop ();
-     while not (Queue.is_empty pending) do
-       emit_front ()
-     done
-   with Client_gone -> ());
+  (* Every job must have rung before the pipe closes, or a late [ring]
+     could write into a reused descriptor: cancel what has not started and
+     wait out the rest (only an abandoned connection leaves any). *)
+  let close_waker w =
+    Queue.iter
+      (fun (_, entry) ->
+        match entry with
+        | Running (_, j) when not (Par.cancel j.fut) -> (
+          match Par.await j.fut with _ -> () | exception _ -> ())
+        | Running _ | Ready _ -> ())
+      pending;
+    Unix.close w.wake_r;
+    Unix.close w.wake_w
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter close_waker waker)
+    (fun () ->
+      try
+        loop ();
+        while not (Queue.is_empty pending) do
+          emit_front ()
+        done
+      with Client_gone -> ());
   {
     served = !served;
     requests = !requests;

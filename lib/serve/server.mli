@@ -16,9 +16,15 @@
     {b Concurrency}: the loop reads frames and looks up the cache
     serially; cache misses are shipped to the [lib/par] domain pool
     ({!Serve_dispatch.compute_bytes}) and the head-of-line response is
-    written as soon as it resolves ({!Par.poll}).  Backpressure is
-    two-fold: the pool's bounded queue blocks submission, and
-    [max_inflight] bounds the responses buffered for in-order emission.
+    written as soon as it resolves, also while the loop waits for the
+    next frame: with a pool of 2 or more jobs, the loop never blocks in a
+    read while the head of the line is computing, but waits
+    ([Unix.select]) on the input and on a per-call self-pipe that each
+    computation writes one byte into as it finishes.  With no pool or a
+    1-job pool every response is ready at submission, and the loop reads
+    as before.  Backpressure is two-fold: the pool's bounded queue blocks
+    submission, and [max_inflight] bounds the responses buffered for
+    in-order emission.
 
     {b Shutdown}: on EOF, or when [stop] reports an interrupt (the CLI
     maps SIGINT to it), the loop drains every in-flight request, writes
@@ -53,6 +59,9 @@ val serve :
     Defaults: no pool (serial compute), no cache, [max_inflight = 64].
     The same pool and cache may be shared across successive calls — the
     socket mode of the CLI serves consecutive connections with one warm
-    cache. *)
+    cache.  A call closes every descriptor it opens before it returns,
+    however it ends (EOF, [stop], a framing error, a client gone): an
+    abandoned connection's computations that have not started are
+    cancelled, and those running are waited out. *)
 
 val pp_counters : Format.formatter -> counters -> unit

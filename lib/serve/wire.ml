@@ -173,10 +173,12 @@ let r_str c =
   c.pos <- c.pos + n;
   s
 
-(* Guard a count against the bytes actually present (each element needs at
-   least [per] bytes) before any allocation proportional to it. *)
-let r_count c ~per ~what =
+(* Guard a count against its admission cap, if any, and against the bytes
+   actually present (each element needs at least [per] bytes), before any
+   allocation proportional to it. *)
+let r_count ?(cap = max_int) c ~per ~what =
   let n = r_u32 c in
+  if n > cap then raise (Fail (Printf.sprintf "%s count %d exceeds the admission cap %d" what n cap));
   if n * per > String.length c.buf - c.pos then
     raise (Fail (Printf.sprintf "%s count %d exceeds the remaining payload" what n));
   n
@@ -186,6 +188,8 @@ let r_count c ~per ~what =
 let max_procs_per_pool = 65_536
 let max_restarts = 1_024
 let max_node_limit = 10_000_000
+let max_tasks = 131_072
+let max_edges = 524_288
 
 (* A u32 field the dispatcher sizes work or memory by, refused above its
    admission cap as soon as it is read — before the DAG. *)
@@ -238,14 +242,14 @@ let decode_request_body c =
   let m_blue = r_f64 c in
   let m_red = r_f64 c in
   let platform = Platform.make ~p_blue ~p_red ~m_blue ~m_red in
-  let n_tasks = r_count c ~per:16 ~what:"task" in
+  let n_tasks = r_count c ~per:16 ~what:"task" ~cap:max_tasks in
   let builder = Dag.Builder.create () in
   for _ = 1 to n_tasks do
     let w_blue = r_f64 c in
     let w_red = r_f64 c in
     ignore (Dag.Builder.add_task builder ~w_blue ~w_red ())
   done;
-  let n_edges = r_count c ~per:24 ~what:"edge" in
+  let n_edges = r_count c ~per:24 ~what:"edge" ~cap:max_edges in
   for _ = 1 to n_edges do
     let src = r_u32 c in
     let dst = r_u32 c in

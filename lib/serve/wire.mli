@@ -26,13 +26,24 @@ val max_procs_per_pool : int
 (** Admission cap on [p_blue] and [p_red] (65,536).  Like {!max_restarts}
     and {!max_node_limit}, a request above it decodes to {!Malformed}
     before its DAG is read: the dispatcher allocates per processor, per
-    restart and per search node, so a forged u32 must not reach it. *)
+    restart and per search node, so a forged u32 must not reach it.
+    {!max_tasks} and {!max_edges} refuse a DAG the same way before the
+    builder sees a task or an edge. *)
 
 val max_restarts : int
 (** Admission cap on [restarts] (1,024). *)
 
 val max_node_limit : int
 (** Admission cap on [node_limit] (10{^7}). *)
+
+val max_tasks : int
+(** Admission cap on a request DAG's task count (131,072), checked before
+    the first task is read. *)
+
+val max_edges : int
+(** Admission cap on a request DAG's edge count (524,288: four per task at
+    {!max_tasks}), checked before the first edge is read.  It binds below
+    {!max_frame}, which alone would admit ~699,000 24-byte edges. *)
 
 type algo =
   | Heuristic of Heuristics.name  (** one deterministic pass, bytes 0–7 *)

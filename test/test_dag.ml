@@ -144,11 +144,6 @@ let test_comments_and_blanks () =
 let test_to_dot () =
   let dot = Dag.to_dot dex in
   check_bool "digraph" true (String.length dot > 0 && String.sub dot 0 7 = "digraph");
-  let contains sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   check_bool "has node" true (contains "T1" dot);
   check_bool "has edge" true (contains "n0 -> n1" dot);
   let dot_hl = Dag.to_dot ~highlight:(fun i -> if i = 0 then Some "red" else None) dex in

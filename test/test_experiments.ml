@@ -122,11 +122,6 @@ let test_plots_script () =
   let ic = open_in path in
   let body = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let contains sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun png -> check_bool png true (contains png body))
     [ "figure10.png"; "figure11.png"; "figure12.png"; "figure13.png"; "figure14.png"; "figure15.png" ]

@@ -210,11 +210,6 @@ let test_mip_bounds_restored () =
 
 (* ----------------------------------------------------------- lp_format --- *)
 
-let contains sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_lp_format_sections () =
   let lp = Lp.create () in
   let x = Lp.add_var lp ~ub:2. "x" in

@@ -181,17 +181,18 @@ let test_dispatch_infeasible_and_exact () =
 (* Run the daemon over a request script: a writer domain feeds the script
    into a pipe, the server runs here (so pool submissions stay on the
    calling domain), responses go to a temp file. *)
+let write_string fd s =
+  let b = Bytes.unsafe_of_string s in
+  let rec go off = if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off)) in
+  go 0
+
 let run_server ?pool ?cache ?max_inflight script =
   let in_r, in_w = Unix.pipe () in
   let path = Filename.temp_file "serve_test" ".bin" in
   let out = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let writer =
     Domain.spawn (fun () ->
-        let b = Bytes.unsafe_of_string script in
-        let rec go off =
-          if off < Bytes.length b then go (off + Unix.write in_w b off (Bytes.length b - off))
-        in
-        go 0;
+        write_string in_w script;
         Unix.close in_w)
   in
   let counters = Server.serve ?pool ?cache ?max_inflight ~input:in_r ~output:out () in
@@ -334,32 +335,146 @@ let test_serve_error_midstream () =
   | _ -> Alcotest.fail "expected schedule, error, schedule"
 
 let test_serve_admission_caps () =
-  (* Requests declaring 2^32 - 1 processors, restarts or search nodes are
-     refused as malformed (code 5) before their DAG is read, and the next
-     request on the stream is still served. *)
+  (* Requests declaring 2^32 - 1 processors, restarts, search nodes, tasks
+     or edges are refused as malformed (code 5) by their admission cap,
+     before the DAG is read, and the next request on the stream is still
+     served. *)
   let g = dag_of_seed 63 in
+  (* version, kind, id:i64, algo:u8, seed:i64, then restarts:u32 at 19,
+     node_limit:u32 at 23, p_blue:u32 at 27, p_red:u32 at 31, two f64
+     capacities, n_tasks:u32 at 51, 16 bytes per task, then n_edges:u32 *)
+  let n_edges_at = 55 + (16 * Dag.n_tasks g) in
   let forged ~id offsets =
     let b = Bytes.of_string (Wire.encode_message (Wire.Request (request ~id g))) in
-    (* version, kind, id:i64, algo:u8, seed:i64, then restarts:u32 at 19,
-       node_limit:u32 at 23, p_blue:u32 at 27 *)
     List.iter (fun off -> Bytes.set_int32_be b off 0xFFFF_FFFFl) offsets;
     Wire.frame (Bytes.unsafe_to_string b)
   in
   let script =
     forged ~id:1L [ 27 ] ^ forged ~id:2L [ 19 ] ^ forged ~id:3L [ 23 ]
     ^ forged ~id:4L [ 19; 23; 27 ]
-    ^ req_frame (request ~id:5L g)
+    ^ forged ~id:5L [ 51 ] ^ forged ~id:6L [ n_edges_at ]
+    ^ req_frame (request ~id:7L g)
   in
   let bytes, c = run_server script in
-  check_int "four protocol errors" 4 c.Server.protocol_errors;
+  check_int "six protocol errors" 6 c.Server.protocol_errors;
+  let capped = function
+    | Wire.Response { body = Wire.Failure { code = 5; message }; _ } ->
+      contains "exceeds the admission cap" message
+    | _ -> false
+  in
   match Wire.decode_stream bytes with
-  | Ok
-      [ Wire.Response { rid = 1L; body = Wire.Failure { code = 5; _ } };
-        Wire.Response { rid = 2L; body = Wire.Failure { code = 5; _ } };
-        Wire.Response { rid = 3L; body = Wire.Failure { code = 5; _ } };
-        Wire.Response { rid = 4L; body = Wire.Failure { code = 5; _ } };
-        Wire.Response { rid = 5L; body = Wire.Schedule _ } ] -> ()
-  | _ -> Alcotest.fail "expected four malformed-body errors (code 5), then a schedule"
+  | Ok msgs when List.length msgs = 7 ->
+    let ids = List.map (function Wire.Response r -> r.Wire.rid | _ -> 0L) msgs in
+    check_bool "responses in request order" true (ids = List.init 7 (fun k -> Int64.of_int (k + 1)));
+    List.iteri
+      (fun k msg -> if k < 6 then check_bool (Printf.sprintf "request %d refused by its cap" (k + 1)) true (capped msg))
+      msgs;
+    (match List.nth msgs 6 with
+    | Wire.Response { body = Wire.Schedule _; _ } -> ()
+    | _ -> Alcotest.fail "expected the last request to be scheduled")
+  | _ -> Alcotest.fail "expected six malformed-body errors (code 5), then a schedule"
+
+(* ----------------------------------------------------- live-input daemon *)
+
+(* How long a test waits for the next byte of a response that a daemon
+   should send at once; far above any compute here, so only a held
+   response runs out. *)
+let response_timeout = 30.
+
+(* Read exactly [n] bytes from [fd]; [None] at end of stream or when no
+   byte arrives for [response_timeout] seconds. *)
+let read_within fd n =
+  let b = Bytes.create n in
+  let rec go off =
+    if off = n then Some (Bytes.unsafe_to_string b)
+    else
+      match Unix.select [ fd ] [] [] response_timeout with
+      | [], _, _ -> None
+      | _ -> ( match Unix.read fd b off (n - off) with 0 -> None | k -> go (off + k))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
+
+let next_response fd =
+  match read_within fd 4 with
+  | None -> None
+  | Some prefix ->
+    let len = Int32.to_int (String.get_int32_be prefix 0) in
+    Option.map Wire.decode_message (read_within fd len)
+
+(* Serve on a spawned domain with the input left open: [f] writes
+   requests to [in_w] and reads responses from [out_r].  Closing the input
+   afterwards lets the daemon drain and return, so a failing [f] cannot
+   hang the suite. *)
+let with_open_input ~pool f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let server = Domain.spawn (fun () -> Server.serve ~pool ~input:in_r ~output:out_w ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close in_w;
+      ignore (Domain.join server);
+      List.iter Unix.close [ in_r; out_r; out_w ])
+    (fun () -> f in_w out_r)
+
+(* A request that computes for milliseconds, long enough that its answer
+   cannot be ready when the daemon first looks. *)
+let slow_request id =
+  request ~id ~algo:(Wire.Heuristic Heuristics.MemMinMin) (dag_of_seed ~size:200 71)
+
+let expect_schedule what ~rid = function
+  | Some (Ok (Wire.Response { rid = r; body = Wire.Schedule _ })) -> check_bool what true (r = rid)
+  | Some _ -> Alcotest.failf "%s: expected a schedule response" what
+  | None ->
+    Alcotest.failf "%s: no response within %.0f s while the input stays open" what response_timeout
+
+let test_serve_answers_open_input () =
+  (* one request, the input kept open: the answer must come without more
+     input or EOF *)
+  Par.with_pool ~jobs:2 (fun pool ->
+      with_open_input ~pool (fun in_w out_r ->
+          write_string in_w (req_frame (slow_request 1L));
+          expect_schedule "the only response" ~rid:1L (next_response out_r)))
+
+let test_serve_answers_in_order_open_input () =
+  (* a slow request, then a fast one that finishes first: both answered
+     while the input stays open, the fast one second *)
+  Par.with_pool ~jobs:2 (fun pool ->
+      with_open_input ~pool (fun in_w out_r ->
+          let fast = request ~id:2L ~algo:(Wire.Heuristic Heuristics.HEFT) (dag_of_seed ~size:6 72) in
+          write_string in_w (req_frame (slow_request 1L) ^ req_frame fast);
+          expect_schedule "first response" ~rid:1L (next_response out_r);
+          expect_schedule "second response" ~rid:2L (next_response out_r)))
+
+let count_open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_serve_fd_hygiene () =
+  (* 50 connections on one shared pool, as the CLI's socket mode serves
+     them, one of them abandoned by its client mid-stream: every
+     descriptor a call opens is closed when it returns *)
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe) @@ fun () ->
+  Par.with_pool ~jobs:2 (fun pool ->
+      let cache = Serve_cache.create () in
+      let script = script_of_requests (requests_of_seeds [ 81; 82; 83 ]) in
+      let before = count_open_fds () in
+      for k = 1 to 50 do
+        if k = 25 then (
+          (* the client is gone before the first response: its reader is
+             closed, so the first write fails and the rest is abandoned *)
+          let in_r, in_w = Unix.pipe ~cloexec:true () in
+          let out_r, out_w = Unix.pipe ~cloexec:true () in
+          Unix.close out_r;
+          write_string in_w (script_of_requests (List.init 4 (fun i -> slow_request (Int64.of_int i))));
+          Unix.close in_w;
+          let c = Server.serve ~pool ~input:in_r ~output:out_w () in
+          check_int "nothing served to a gone client" 0 c.Server.served;
+          Unix.close in_r;
+          Unix.close out_w)
+        else ignore (run_server ~pool ~cache script)
+      done;
+      check_int "open descriptors after 50 calls" before (count_open_fds ()))
 
 let test_serve_truncated_tail () =
   (* a stream ending mid-frame: pending work drains, the cut is answered,
@@ -398,4 +513,9 @@ let () =
           Alcotest.test_case "backpressure burst" `Quick test_serve_backpressure_burst;
           Alcotest.test_case "protocol error mid-stream" `Quick test_serve_error_midstream;
           Alcotest.test_case "admission caps" `Quick test_serve_admission_caps;
-          Alcotest.test_case "truncated tail drains" `Quick test_serve_truncated_tail ] ) ]
+          Alcotest.test_case "truncated tail drains" `Quick test_serve_truncated_tail;
+          Alcotest.test_case "answers while the input stays open" `Quick
+            test_serve_answers_open_input;
+          Alcotest.test_case "in order while the input stays open" `Quick
+            test_serve_answers_in_order_open_input;
+          Alcotest.test_case "descriptors closed on every exit" `Quick test_serve_fd_hygiene ] ) ]

@@ -40,23 +40,6 @@ let pp_counters ppf c =
    mode): abandon the connection, keep the daemon alive. *)
 exception Client_gone
 
-type read_result = Chunk of string | Eof | Short | Stopped
-
-(* Read exactly [n] bytes.  EINTR (a signal interrupted the syscall) polls
-   [stop]: an interrupt requested between frames or mid-read abandons the
-   current partial frame and flows into the drain path. *)
-let read_exact ~stop fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then Chunk (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> if off = 0 then Eof else Short
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> if stop () then Stopped else go off
-  in
-  go 0
-
 (* Write a whole frame.  EINTR retries unconditionally: a frame write is
    never abandoned halfway, so the output stream only ever contains
    complete frames (the shutdown contract). *)
@@ -72,19 +55,47 @@ let write_all fd s =
   in
   go 0
 
-let read_frame ~stop fd =
-  match read_exact ~stop fd 4 with
-  | Eof -> `Eof
-  | Stopped -> `Stopped
-  | Short -> `Proto Wire.Truncated
-  | Chunk prefix -> (
-    let declared = Int32.to_int (String.get_int32_be prefix 0) land 0xFFFF_FFFF in
-    if declared > Wire.max_frame then `Proto (Wire.Oversized declared)
+(* An incremental frame reader: [read_step] makes one [Unix.read] toward
+   the current frame (its 4-byte length prefix, then its payload), so the
+   loop can wait for a completion between any two reads, mid-frame too.
+   Read back to back, the steps issue the same reads as reading the prefix
+   and then the payload whole. *)
+type reader = {
+  fd : Unix.file_descr;
+  prefix : Bytes.t;
+  mutable payload : Bytes.t option;  (* allocated once the prefix is complete *)
+  mutable fill : int;  (* bytes of the prefix, then of the payload, read so far *)
+}
+
+let reader fd = { fd; prefix = Bytes.create 4; payload = None; fill = 0 }
+
+(* EINTR (a signal interrupted the syscall) polls [stop]: an interrupt
+   requested between frames or mid-read abandons the current partial frame
+   and flows into the drain path. *)
+let read_step ~stop r =
+  let buf = match r.payload with Some p -> p | None -> r.prefix in
+  let whole payload =
+    r.payload <- None;
+    r.fill <- 0;
+    `Frame (Bytes.unsafe_to_string payload)
+  in
+  match Unix.read r.fd buf r.fill (Bytes.length buf - r.fill) with
+  | 0 -> if r.fill = 0 && Option.is_none r.payload then `Eof else `Proto Wire.Truncated
+  | k -> (
+    r.fill <- r.fill + k;
+    if r.fill < Bytes.length buf then `Partial
     else
-      match read_exact ~stop fd declared with
-      | Chunk payload -> `Frame payload
-      | Eof | Short -> `Proto Wire.Truncated
-      | Stopped -> `Stopped)
+      match r.payload with
+      | Some payload -> whole payload
+      | None ->
+        let declared = Int32.to_int (Bytes.get_int32_be r.prefix 0) land 0xFFFF_FFFF in
+        if declared > Wire.max_frame then `Proto (Wire.Oversized declared)
+        else if declared = 0 then whole Bytes.empty
+        else (
+          r.payload <- Some (Bytes.create declared);
+          r.fill <- 0;
+          `Partial))
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> if stop () then `Stopped else `Partial
 
 (* ------------------------------------------------------------ wake-up --- *)
 
@@ -260,9 +271,11 @@ let serve ?pool ?cache ?(max_inflight = 64) ?(stop = fun () -> false) ~input ~ou
     | Some (_, Ready _) | None -> true
   in
   let input_due () = match waker with None -> true | Some w -> await_input w in
+  let input_reader = reader input in
   let rec loop () =
     if (not (stop ())) && input_due () then
-      match read_frame ~stop input with
+      match read_step ~stop input_reader with
+      | `Partial -> loop ()
       | `Eof | `Stopped -> ()
       | `Frame payload ->
         handle payload;

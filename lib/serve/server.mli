@@ -17,14 +17,14 @@
     serially; cache misses are shipped to the [lib/par] domain pool
     ({!Serve_dispatch.compute_bytes}) and the head-of-line response is
     written as soon as it resolves, also while the loop waits for the
-    next frame: with a pool of 2 or more jobs, the loop never blocks in a
-    read while the head of the line is computing, but waits
-    ([Unix.select]) on the input and on a per-call self-pipe that each
-    computation writes one byte into as it finishes.  With no pool or a
-    1-job pool every response is ready at submission, and the loop reads
-    as before.  Backpressure is two-fold: the pool's bounded queue blocks
-    submission, and [max_inflight] bounds the responses buffered for
-    in-order emission.
+    next frame or the rest of one: with a pool of 2 or more jobs, the
+    loop never blocks in a read while the head of the line is computing,
+    but waits ([Unix.select]) on the input and on a per-call self-pipe
+    that each computation writes one byte into as it finishes.  With no
+    pool or a 1-job pool every response is ready at submission, and the
+    loop reads without waiting.  Backpressure is two-fold: the pool's
+    bounded queue blocks submission, and [max_inflight] bounds the
+    responses buffered for in-order emission.
 
     {b Shutdown}: on EOF, or when [stop] reports an interrupt (the CLI
     maps SIGINT to it), the loop drains every in-flight request, writes
@@ -54,7 +54,7 @@ val serve :
   output:Unix.file_descr ->
   unit ->
   counters
-(** Serve [input] until EOF (or [stop ()], polled between frames and when
+(** Serve [input] until EOF (or [stop ()], polled between reads and when
     a read is interrupted by a signal), writing responses to [output].
     Defaults: no pool (serial compute), no cache, [max_inflight = 64].
     The same pool and cache may be shared across successive calls — the

@@ -446,6 +446,21 @@ let test_serve_answers_in_order_open_input () =
           expect_schedule "first response" ~rid:1L (next_response out_r);
           expect_schedule "second response" ~rid:2L (next_response out_r)))
 
+let test_serve_answers_mid_frame () =
+  (* the input stalls inside the next frame, in its length prefix or in
+     its payload: the finished response before it is still written at
+     once *)
+  Par.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun cut ->
+          with_open_input ~pool (fun in_w out_r ->
+              let next = req_frame (request ~id:2L (dag_of_seed ~size:6 73)) in
+              write_string in_w (req_frame (slow_request 1L) ^ String.sub next 0 cut);
+              expect_schedule "response before the cut" ~rid:1L (next_response out_r);
+              write_string in_w (String.sub next cut (String.length next - cut));
+              expect_schedule "response after the rest arrives" ~rid:2L (next_response out_r)))
+        [ 2; 6 ])
+
 let count_open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_serve_fd_hygiene () =
@@ -518,4 +533,5 @@ let () =
             test_serve_answers_open_input;
           Alcotest.test_case "in order while the input stays open" `Quick
             test_serve_answers_in_order_open_input;
+          Alcotest.test_case "answers while a frame is half-read" `Quick test_serve_answers_mid_frame;
           Alcotest.test_case "descriptors closed on every exit" `Quick test_serve_fd_hygiene ] ) ]

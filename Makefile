@@ -11,10 +11,11 @@ test:
 	dune runtest
 
 # Static analysis (lib/lint): the syntactic rules (determinism /
-# float-discipline / domain-safety / io-purity / order-stability) plus the
-# typed interprocedural pass (domain-race / poly-compare / effect-purity)
-# over the .cmt artifacts of bench/ bin/ lib/ test/.  Exits non-zero on any
-# finding outside lint.allowlist or an inline pragma.
+# float-discipline / domain-safety / io-purity / order-stability; io-purity
+# bans console output in every lib/ file) plus the typed interprocedural
+# pass (domain-race / poly-compare / effect-purity) over the .cmt artifacts
+# of bench/ bin/ lib/ test/.  Exits non-zero on any finding outside
+# lint.allowlist or an inline pragma.
 lint: build
 	dune build @check
 	dune exec bin/memsched_cli.exe -- lint --typed --jobs 2

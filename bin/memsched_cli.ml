@@ -458,9 +458,9 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Static analysis (compiler-libs): enforce the determinism, float-discipline, \
-          domain-safety, io-purity and order-stability invariants, plus (with $(b,--typed)) the \
-          typed interprocedural domain-race / poly-compare / effect-purity rules over the .cmt \
-          call graph.  Exit code 1 on findings.")
+          domain-safety, io-purity (no console output anywhere in lib/) and order-stability \
+          invariants, plus (with $(b,--typed)) the typed interprocedural domain-race / \
+          poly-compare / effect-purity rules over the .cmt call graph.  Exit code 1 on findings.")
     Term.(ret (const run $ root $ rules $ format $ typed $ effects_json $ debt $ jobs_term))
 
 (* ------------------------------------------------------------------ serve *)

@@ -4,9 +4,9 @@ let node_weight ?durations g =
   let durations =
     match durations with
     | Some d ->
-      Est.check_durations ~fn:"Rank.node_weight" g d;
+      Dag.check_durations ~fn:"Rank.node_weight" g d;
       d
-    | None -> Est.default_durations g
+    | None -> Dag.default_durations g
   in
   let k = Array.length durations in
   let kf = float_of_int k in

@@ -7,7 +7,7 @@
 
     [durations] are pool-major columns as in {!Sched_state.create}; they
     default to the graph's blue and red times; supplied columns that fail
-    {!Est.check_durations} raise [Invalid_argument]. *)
+    {!Dag.check_durations} raise [Invalid_argument]. *)
 
 val node_weight : ?durations:float array array -> Dag.t -> int -> float
 (** The mean computation cost of a task over the pools. *)

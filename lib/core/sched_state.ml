@@ -1,13 +1,20 @@
-type comm_mode = Est.comm_mode = Jit_per_edge | Jit_batched | Eager
-type proc_policy = Est.proc_policy = Earliest_available | Insertion
+type comm_mode = Jit_per_edge | Jit_batched | Eager
+type proc_policy = Earliest_available | Insertion
 
-type options = Est.options = {
+type options = {
   comm_mode : comm_mode;
   proc_policy : proc_policy;
 }
 
-let default_options = Est.default_options
-let eps = Est.eps
+let default_options = { comm_mode = Jit_per_edge; proc_policy = Earliest_available }
+let eps = 1e-9
+
+type estimate = {
+  task : int;
+  pool : int;
+  est : float;
+  eft : float;
+}
 
 (* One trail record per [commit], capturing every piece of state the commit
    overwrites (plus a journal mark per pool staircase) so [uncommit] can
@@ -41,7 +48,7 @@ type t = {
   g : Dag.t;
   platform : Platform.t;
   options : options;
-  est_ctx : Est.ctx;  (* shares every mutable array below *)
+  n_pools : int;
   durations : float array array;  (* per pool, per task *)
   free : Staircase.t array;  (* per pool: the free_mem staircase *)
   avail : float array;  (* per processor: finish time of its last task *)
@@ -56,8 +63,28 @@ type t = {
   pending_parents : int array;
   sched : Schedule.t;
   procs : int array array;  (* Platform.procs_of_pool, cached: [commit] is hot *)
-  out_sizes : float array;  (* Dag.Csr.out_sz view, cached likewise *)
-  in_sizes : float array;  (* Dag.Csr.in_sz view: [Dag.in_size] boxes its result *)
+  (* Read-only views of the graph, cached likewise: [probe] and [commit]
+     read them on every call. *)
+  pred_off : int array;
+  pred_eid : int array;
+  pred_src : int array;
+  e_size : float array;
+  e_comm : float array;
+  out_sizes : float array;
+  in_sizes : float array;  (* [Dag.in_size] boxes its result *)
+  (* The probe's scratch, one slot per pool: the cross-edge ids of the
+     predecessor walk (a row sized to the largest in-degree), its running
+     aggregates, and the estimate of the last probe.  Owned by this state
+     alone: [copy] allocates fresh scratch. *)
+  cross : int array array;
+  n_cross : int array;
+  cross_in : float array;
+  c_batch : float array;
+  min_cross_aft : float array;
+  prec : float array;
+  slot_fits : bool array;
+  slot_est : float array;
+  slot_eft : float array;
   (* The forgetting horizon (see [advance_horizon]): whether this state may
      forget staircase history at all, the largest transfer time, and the
      availability minimum last used. *)
@@ -94,9 +121,9 @@ let make ~forgetting ?(options = default_options) ?durations g platform =
   let durations =
     match durations with
     | Some d ->
-      Est.check_durations ~fn:"Sched_state.create" g d;
+      Dag.check_durations ~fn:"Sched_state.create" g d;
       d
-    | None -> Est.default_durations g
+    | None -> Dag.default_durations g
   in
   if Array.length durations <> k then
     invalid_arg "Sched_state.create: one duration column per memory pool";
@@ -111,32 +138,40 @@ let make ~forgetting ?(options = default_options) ?durations g platform =
       in_ready.(i) <- true
     end
   done;
-  let procs = Array.init k (fun q -> Array.of_list (Platform.procs_of_pool platform q)) in
-  let free = Array.init k (fun q -> Staircase.create (Platform.pool_capacity platform q)) in
-  let avail = Array.make (Platform.n_procs platform) 0. in
-  (* Every pool owns at least one processor, all idle at 0. *)
-  let min_avail = Array.make k 0. in
-  let busy = Array.make (Platform.n_procs platform) [] in
-  let aft = Array.make n 0. in
-  let pool_code = Array.make n (-1) in
+  let width = max 1 (Dag.Csr.max_in_degree g) in
   {
     g;
     platform;
     options;
-    est_ctx = Est.make ~options ~g ~durations ~free ~aft ~pool_code ~avail ~busy ~procs ~min_avail;
+    n_pools = k;
     durations;
-    free;
-    avail;
-    min_avail;
-    busy;
-    aft;
+    free = Array.init k (fun q -> Staircase.create (Platform.pool_capacity platform q));
+    avail = Array.make (Platform.n_procs platform) 0.;
+    (* Every pool owns at least one processor, all idle at 0. *)
+    min_avail = Array.make k 0.;
+    busy = Array.make (Platform.n_procs platform) [];
+    aft = Array.make n 0.;
     assigned = Array.make n false;
-    pool_code;
+    pool_code = Array.make n (-1);
     pending_parents = pending;
     sched = Schedule.create g;
-    procs;
+    procs = Array.init k (fun q -> Array.of_list (Platform.procs_of_pool platform q));
+    pred_off = Dag.Csr.pred_off g;
+    pred_eid = Dag.Csr.pred_eid g;
+    pred_src = Dag.Csr.pred_src g;
+    e_size = Dag.Csr.e_size g;
+    e_comm = Dag.Csr.e_comm g;
     out_sizes = Dag.Csr.out_sz g;
     in_sizes = Dag.Csr.in_sz g;
+    cross = Array.init k (fun _ -> Array.make width 0);
+    n_cross = Array.make k 0;
+    cross_in = Array.make k 0.;
+    c_batch = Array.make k 0.;
+    min_cross_aft = Array.make k infinity;
+    prec = Array.make k 0.;
+    slot_fits = Array.make k false;
+    slot_est = Array.make k 0.;
+    slot_eft = Array.make k 0.;
     (* Insertion can start a task before [min_avail] and Eager starts its
        transfers at producer finish times, so both keep the full history. *)
     forgetting =
@@ -162,24 +197,16 @@ let make ~forgetting ?(options = default_options) ?durations g platform =
 let create ?options ?durations g platform = make ~forgetting:true ?options ?durations g platform
 
 let copy t =
-  let free = Array.map Staircase.copy t.free in
-  let avail = Array.copy t.avail in
-  let min_avail = Array.copy t.min_avail in
-  let busy = Array.copy t.busy in
-  let aft = Array.copy t.aft in
-  let pool_code = Array.copy t.pool_code in
+  let k = t.n_pools and width = Array.length t.cross.(0) in
   {
     t with
-    est_ctx =
-      Est.make ~options:t.options ~g:t.g ~durations:t.durations ~free ~aft ~pool_code ~avail ~busy
-        ~procs:t.procs ~min_avail;
-    free;
-    avail;
-    min_avail;
-    busy;
-    aft;
+    free = Array.map Staircase.copy t.free;
+    avail = Array.copy t.avail;
+    min_avail = Array.copy t.min_avail;
+    busy = Array.copy t.busy;
+    aft = Array.copy t.aft;
     assigned = Array.copy t.assigned;
-    pool_code;
+    pool_code = Array.copy t.pool_code;
     pending_parents = Array.copy t.pending_parents;
     sched =
       {
@@ -187,6 +214,15 @@ let copy t =
         procs = Array.copy t.sched.Schedule.procs;
         comm_starts = Array.copy t.sched.Schedule.comm_starts;
       };
+    cross = Array.init k (fun _ -> Array.make width 0);
+    n_cross = Array.make k 0;
+    cross_in = Array.make k 0.;
+    c_batch = Array.make k 0.;
+    min_cross_aft = Array.make k infinity;
+    prec = Array.make k 0.;
+    slot_fits = Array.make k false;
+    slot_est = Array.make k 0.;
+    slot_eft = Array.make k 0.;
     ready_arr = Array.copy t.ready_arr;
     ready_buf = Array.copy t.ready_buf;
     in_ready = Array.copy t.in_ready;
@@ -308,17 +344,189 @@ let duration t i q = t.durations.(q).(i)
 let free_mem_final t q = Staircase.final_value t.free.(q)
 let planned_peak t q = t.planned.(q)
 
-type estimate = Est.estimate = {
-  task : int;
-  pool : int;
-  est : float;
-  eft : float;
-}
+(* --- the estimate (§5.1) --- *)
 
-let probe t ~not_before i = if not (is_ready t i) then -1 else Est.probe t.est_ctx i ~not_before
-let probe_fits t q = Est.fits t.est_ctx q
-let probe_eft t q = Est.eft t.est_ctx q
-let probe_estimate t i q = Est.estimate t.est_ctx i q
+(* Bit-identity contract: every float operation below (operator choice,
+   operand order, accumulation order) mirrors the historical list-walking
+   code kept verbatim as [Reference], so the two agree to the last bit
+   (pinned by golden digests). *)
+
+(* Classic HEFT insertion (the ablation policy): the earliest start on some
+   processor of pool [q], given a lower bound [lb] and the task duration
+   [w]. *)
+let insertion_est t q ~lb ~w =
+  let earliest_on p =
+    (* Scan the sorted busy intervals for the first gap of length [w]
+       starting at or after [lb]. *)
+    let rec scan start = function
+      | [] -> start
+      | (b0, b1) :: rest -> if start +. w <= b0 +. eps then start else scan (Float.max start b1) rest
+    in
+    scan lb t.busy.(p)
+  in
+  Array.fold_left (fun acc p -> Float.min acc (earliest_on p)) infinity t.procs.(q)
+
+(* In-place stable insertion sort of [cross.(0..k-1)] by decreasing transfer
+   time.  Shifting only while strictly smaller keeps equal-comm edges in
+   their original (predecessor) order — the permutation OCaml's stable
+   [List.sort] produces in [Reference], so the prefix sums below accumulate
+   in the identical order. *)
+let sort_desc_comm t cross k =
+  for idx = 1 to k - 1 do
+    let e = cross.(idx) in
+    let ce = t.e_comm.(e) in
+    let j = ref (idx - 1) in
+    while !j >= 0 && t.e_comm.(cross.(!j)) < ce do
+      cross.(!j + 1) <- cross.(!j);
+      decr j
+    done;
+    cross.(!j + 1) <- e
+  done
+
+(* Memory lower bound on the start time on pool [q] from the aggregates the
+   walk left in [q]'s scratch slot, or [infinity] when the task cannot fit
+   (the paper's EFT = +infinity case; a feasible bound is always a finite
+   staircase time, and the staircase queries answer [infinity] exactly when
+   the level does not fit).  The per-edge sort permutes [q]'s cross-edge
+   ids. *)
+let memory_lb t i q =
+  let free = t.free.(q) in
+  let cross_in = t.cross_in.(q) in
+  let t_task = Staircase.earliest_suffix_ge free ~level:(cross_in +. t.out_sizes.(i)) ~from:0. in
+  if Float.equal t_task infinity || Float.equal cross_in 0. then t_task
+  else begin
+    match t.options.comm_mode with
+    | Jit_batched ->
+      (* The paper's comm_mem_EST: the whole incoming batch must fit over a
+         window of the maximal transfer time. *)
+      let t_comm = Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. in
+      if Float.equal t_comm infinity then infinity
+      else Float.max t_task (Fp.lb_plus t_comm t.c_batch.(q))
+    | Jit_per_edge ->
+      (* Exact accounting of just-in-time transfers: the file of the cross
+         edge with the k-th largest transfer time is resident from
+         [start - C_k] on, so at that instant only the k largest-C files
+         are present.  For each prefix (sorted by decreasing C) the prefix
+         mass must fit from [start - C_k] on.  A prefix that does not fit
+         sets the bound to [infinity] and ends the scan. *)
+      let cross = t.cross.(q) and k = t.n_cross.(q) in
+      sort_desc_comm t cross k;
+      let acc = ref 0. and lb = ref 0. in
+      let idx = ref 0 in
+      while !idx < k do
+        let e = cross.(!idx) in
+        acc := !acc +. t.e_size.(e);
+        let t_k = Staircase.earliest_suffix_ge free ~level:!acc ~from:0. in
+        if Float.equal t_k infinity then begin
+          lb := infinity;
+          idx := k
+        end
+        else begin
+          (* Fp.lb_plus: the transfer later placed at [est -. C] must not
+             land below the verified window start in float arithmetic. *)
+          lb := Float.max !lb (Fp.lb_plus t_k t.e_comm.(e));
+          incr idx
+        end
+      done;
+      Float.max t_task !lb
+    | Eager ->
+      (* Transfers fire at producer completion: the destination must be able
+         to hold every incoming file from the earliest producer finish on. *)
+      let t_comm = Staircase.earliest_suffix_ge free ~level:cross_in ~from:0. in
+      if (not (Float.equal t_comm infinity)) && t_comm <= t.min_cross_aft.(q) +. eps then t_task
+      else infinity
+  end
+
+(* Pool [q]'s estimate into its slots: [fits], and when it fits [est] and
+   [eft = est + W^(q)]. *)
+let estimate_on t i q =
+  let mem_lb = memory_lb t i q in
+  if Float.equal mem_lb infinity then t.slot_fits.(q) <- false
+  else begin
+    let lb = Float.max mem_lb t.prec.(q) in
+    let w = t.durations.(q).(i) in
+    let est =
+      match t.options.proc_policy with
+      | Earliest_available -> Float.max lb t.min_avail.(q)
+      | Insertion -> insertion_est t q ~lb ~w
+    in
+    t.slot_fits.(q) <- true;
+    t.slot_est.(q) <- est;
+    t.slot_eft.(q) <- est +. w
+  end
+
+(* One cache-linear CSR walk of the predecessors for every pool,
+   allocation-free: a parent on pool [q] feeds [q]'s precedence EST, and is a
+   cross parent of every other pool — its edge id lands in that pool's
+   scratch row and the aggregates (total cross size, max transfer time,
+   earliest cross producer finish, precedence EST) accumulate in that pool's
+   slot.  Each pool sees the predecessors in row order, so a pool's result
+   does not depend on the others.  Caller guarantees [i] is ready. *)
+let walk t i =
+  let hi = t.n_pools - 1 in
+  for q = 0 to hi do
+    t.n_cross.(q) <- 0;
+    t.cross_in.(q) <- 0.;
+    t.c_batch.(q) <- 0.;
+    t.min_cross_aft.(q) <- infinity;
+    t.prec.(q) <- 0.
+  done;
+  for p = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+    let j = t.pred_src.(p) in
+    let mj = t.pool_code.(j) in
+    if mj < 0 then invalid_arg "Sched_state: parent not assigned";
+    let e = t.pred_eid.(p) in
+    let aft_j = t.aft.(j) in
+    for q = 0 to hi do
+      if q = mj then begin
+        if aft_j > t.prec.(q) then t.prec.(q) <- aft_j
+      end
+      else begin
+        let k = t.n_cross.(q) in
+        t.cross.(q).(k) <- e;
+        t.n_cross.(q) <- k + 1;
+        t.cross_in.(q) <- t.cross_in.(q) +. t.e_size.(e);
+        if t.e_comm.(e) > t.c_batch.(q) then t.c_batch.(q) <- t.e_comm.(e);
+        if aft_j < t.min_cross_aft.(q) then t.min_cross_aft.(q) <- aft_j;
+        let arrival = aft_j +. t.e_comm.(e) in
+        if arrival > t.prec.(q) then t.prec.(q) <- arrival
+      end
+    done
+  done
+
+(* Every pool from one walk.  A pool that fits is lifted to the release
+   floor in place ([est' = max(est, floor)], [eft'] recomputed from the
+   duration, not shifted) and then compared with the incumbent pool:
+   minimum EFT, ties to the earlier EST, then to the incumbent — the lower
+   pool, as the pools are met in order. *)
+let probe t ~not_before i =
+  if not (is_ready t i) then -1
+  else begin
+    walk t i;
+    let floor = not_before.(i) in
+    let best = ref (-1) in
+    for q = 0 to t.n_pools - 1 do
+      estimate_on t i q;
+      if t.slot_fits.(q) then begin
+        if t.slot_est.(q) < floor then begin
+          t.slot_est.(q) <- floor;
+          t.slot_eft.(q) <- floor +. t.durations.(q).(i)
+        end;
+        let b = !best in
+        if
+          b < 0
+          || t.slot_eft.(q) +. eps < t.slot_eft.(b)
+          || ((not (t.slot_eft.(b) +. eps < t.slot_eft.(q)))
+             && t.slot_est.(q) +. eps < t.slot_est.(b))
+        then best := q
+      end
+    done;
+    !best
+  end
+
+let probe_fits t q = t.slot_fits.(q)
+let probe_eft t q = t.slot_eft.(q)
+let probe_estimate t i q = { task = i; pool = q; est = t.slot_est.(q); eft = t.slot_eft.(q) }
 
 (* Processor of pool [q] minimising idle time before a task starting at
    [start] with duration [w] (paper: maximise avail among procs available by
@@ -458,9 +666,8 @@ let commit t e =
      exactly at the task start; the recorded memory profile is therefore
      exact: the file appears in the destination at the transfer start and
      leaves the source at the transfer end (= the task start). *)
-  let pred_off = Dag.Csr.pred_off g and pred_eid = Dag.Csr.pred_eid g in
-  let pred_src = Dag.Csr.pred_src g in
-  let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
+  let pred_off = t.pred_off and pred_eid = t.pred_eid and pred_src = t.pred_src in
+  let e_size = t.e_size and e_comm = t.e_comm in
   let row_lo = pred_off.(i) and row_hi = pred_off.(i + 1) - 1 in
   for p = row_lo to row_hi do
     let j = pred_src.(p) in

@@ -6,11 +6,16 @@
     finish times.  Pools are numbered as in {!Platform}; the state never
     assumes there are two.
 
-    {!probe} computes the earliest start time of a task on every memory as
-    the maximum of the four components of §5.1 —
-    [resource_EST], [precedence_EST], [task_mem_EST] and
-    [comm_mem_EST + C^(mu)] — and {!commit} applies a decision, scheduling
-    every incoming cross-memory transfer and updating the memory profiles.
+    This module owns the §5.1 EST formulas.  {!probe} computes the earliest
+    start time of a task on every memory as the maximum of the four
+    components of §5.1 — [resource_EST], [precedence_EST], [task_mem_EST]
+    and [comm_mem_EST + C^(mu)] — from one walk of the task's packed
+    predecessor row ({!Dag.Csr}), and {!commit} applies a decision,
+    scheduling every incoming cross-memory transfer and updating the memory
+    profiles.  The probe writes only the state's own scratch (per-pool
+    slots and cross-edge rows), so it allocates nothing; a state is
+    therefore never shared across domains, and {!copy} gives the copy
+    scratch of its own.
 
     Transfers: when task [i] is assigned to memory [mu], the transfer of each
     cross edge [(j,i)] is emitted just-in-time, starting at
@@ -27,7 +32,7 @@
     HEFT's measured peaks reproduces HEFT exactly.  The {!Eager} ablation
     instead fires each transfer as soon as its producer completes. *)
 
-type comm_mode = Est.comm_mode =
+type comm_mode =
   | Jit_per_edge
       (** transfers complete exactly at the task start; exact per-prefix
           memory check (default) *)
@@ -36,11 +41,11 @@ type comm_mode = Est.comm_mode =
           aggregated [comm_mem_EST + C^(mu)] check *)
   | Eager  (** ablation: transfers start as soon as the producer finishes *)
 
-type proc_policy = Est.proc_policy =
+type proc_policy =
   | Earliest_available  (** paper behaviour: [resource_EST = min avail] *)
   | Insertion  (** ablation: classic HEFT insertion into idle gaps *)
 
-type options = Est.options = {
+type options = {
   comm_mode : comm_mode;
   proc_policy : proc_policy;
 }
@@ -53,12 +58,13 @@ type t
 val create : ?options:options -> ?durations:float array array -> Dag.t -> Platform.t -> t
 (** An empty schedule.  [durations.(q).(i)] is the processing time of task
     [i] on pool [q] (pool-major columns); it defaults to
-    {!Est.default_durations}, the graph's blue and red times.
+    {!Dag.default_durations}, the graph's blue and red times.
     @raise Invalid_argument when the column count is not
-    [Platform.n_pools], or the columns fail {!Est.check_durations}. *)
+    [Platform.n_pools], or the columns fail {!Dag.check_durations}. *)
 
 val copy : t -> t
-(** Deep copy (used by the exact branch-and-bound search). *)
+(** Deep copy (used by the exact branch-and-bound search): the copy shares
+    no mutable state with its source, probe scratch included. *)
 
 val graph : t -> Dag.t
 val platform : t -> Platform.t
@@ -106,7 +112,7 @@ val planned_peak : t -> int -> float
     decisions as HEFT" — is a theorem.  Only tracked when the pool's
     capacity is finite ([0.] otherwise). *)
 
-type estimate = Est.estimate = {
+type estimate = {
   task : int;
   pool : int;  (** the memory pool the estimate places the task on *)
   est : float;  (** earliest execution start time *)
@@ -115,7 +121,7 @@ type estimate = Est.estimate = {
 
 val probe : t -> not_before:float array -> int -> int
 (** [probe t ~not_before i] evaluates task [i] on every pool from a single
-    allocation-free predecessor walk over the flat CSR views ({!Est}), into
+    allocation-free predecessor walk over the flat CSR views, into
     per-pool slots of the state — each pool bit-identical to
     {!Reference.estimate} — and returns the minimum-EFT pool (ties: earlier
     EST, then the lower pool), or [-1] when no pool fits (the paper's

@@ -330,6 +330,23 @@ module Csr = struct
 end
 
 let w_min g i = Float.min g.w_blue.(i) g.w_red.(i)
+let default_durations g = [| g.w_blue; g.w_red |]
+
+(* The builder's rules for processing times, applied to caller-supplied
+   columns: a NaN would silently lose every EFT comparison it enters. *)
+let check_durations ~fn g durations =
+  let n = n_tasks g in
+  if Array.length durations = 0 then invalid_arg (fn ^ ": at least one duration column");
+  Array.iter
+    (fun col ->
+      if Array.length col <> n then invalid_arg (fn ^ ": one duration per task");
+      Array.iter
+        (fun w ->
+          Fp.check_finite ~what:(fn ^ ": duration") w;
+          if w < 0. then invalid_arg (fn ^ ": negative duration"))
+        col)
+    durations
+
 let topological_order g = Array.copy g.topo
 
 let is_topological g order =

@@ -104,6 +104,21 @@ val total_file_size : t -> float
 val w_min : t -> int -> float
 (** [min w_blue w_red] for a task. *)
 
+(** {1 Per-pool durations}
+
+    The scheduling core reads processing times as pool-major columns:
+    [durations.(q).(i)] is the time of task [i] on memory pool [q]. *)
+
+val default_durations : t -> float array array
+(** The dual-memory durations, [[| Csr.w_blue g; Csr.w_red g |]]: the
+    graph's own arrays, READ-ONLY like every {!Csr} view. *)
+
+val check_durations : fn:string -> t -> float array array -> unit
+(** Checks caller-supplied duration columns as {!Builder.add_task} checks
+    processing times: at least one column, one entry per task, every entry
+    finite and non-negative.  [fn] prefixes the error message.
+    @raise Invalid_argument otherwise. *)
+
 (** {1 The arena (CSR / SoA arrays)}
 
     These are the graph's own arrays, not copies: they are built once at

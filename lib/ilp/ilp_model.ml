@@ -22,7 +22,6 @@ type t = {
 }
 
 let lp t = t.lp
-let makespan_var t = t.v_m
 let n_vars t = Lp.n_vars t.lp
 let n_constrs t = Lp.n_constrs t.lp
 let mmax t = t.mmax

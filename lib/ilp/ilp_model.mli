@@ -36,7 +36,6 @@ val build : ?presolve:bool -> Dag.t -> Platform.t -> t
 val lp : t -> Lp.t
 (** The underlying model (for {!Simplex}, {!Mip} or {!Lp_format}). *)
 
-val makespan_var : t -> int
 val n_vars : t -> int
 val n_constrs : t -> int
 

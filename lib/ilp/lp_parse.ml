@@ -172,9 +172,3 @@ let of_string text =
     lines;
   flush_statement ();
   lp
-
-let read path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))

@@ -7,6 +7,3 @@
 
 val of_string : string -> Lp.t
 (** @raise Invalid_argument on input outside the supported subset. *)
-
-val read : string -> Lp.t
-(** [read path]. *)

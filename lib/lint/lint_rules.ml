@@ -256,13 +256,8 @@ let io_banned =
     "Format.printf"; "Format.eprintf"; "Format.print_string"; "Format.print_newline";
     "Format.print_flush"; "Format.std_formatter"; "Format.err_formatter" ]
 
-let io_writers = [ "lib/util/table.ml"; "lib/util/csv.ml" ]
-
 let io_purity =
-  let hint =
-    "return a string / Table / Csv value and let bin/ (or the annotated experiment drivers) \
-     print it"
-  in
+  let hint = "return a string / Table / Csv value and let bin/ print it" in
   let check ctx str =
     let acc = ref [] in
     over_exprs
@@ -281,8 +276,8 @@ let io_purity =
   in
   {
     id = "io-purity";
-    doc = "no console output in lib/ outside the Table/Csv writers";
-    applies = (fun p -> in_dir "lib" p && not (List.mem p io_writers));
+    doc = "no console output anywhere in lib/";
+    applies = in_dir "lib";
     check;
   }
 

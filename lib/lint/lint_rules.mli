@@ -23,8 +23,8 @@
       or annotate), and [Mutex.lock] in a binding with no matching
       [Mutex.unlock]/[Fun.protect].
     - ["io-purity"] — console output ([print_*], [Printf.printf],
-      [Format.printf], [stdout]/[stderr], ...) in [lib/] outside the
-      [Table]/[Csv] writers: libraries return data, [bin/] prints.
+      [Format.printf], [stdout]/[stderr], ...) anywhere in [lib/]:
+      libraries return data, [bin/] prints.
     - ["order-stability"] — [Hashtbl.iter]/[Hashtbl.fold]/[Hashtbl.to_seq*]
       anywhere: bucket order depends on insertion history, which breaks
       golden CSV digests unless the result is re-sorted (annotate those). *)

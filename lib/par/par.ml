@@ -354,10 +354,3 @@ let reset_counters t =
   t.c_worker_wait <- 0.;
   t.c_busy <- 0.;
   Mutex.unlock t.mutex
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "tasks=%d (failed=%d, cancelled=%d) batches=%d max_queue=%d busy=%.3fs worker_wait=%.3fs \
-     submit_wait=%.3fs"
-    c.tasks_run c.tasks_failed c.tasks_cancelled c.batches c.max_queue c.worker_busy_s
-    c.worker_wait_s c.submit_wait_s

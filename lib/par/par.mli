@@ -98,7 +98,6 @@ type counters = {
 
 val counters : t -> counters
 val reset_counters : t -> unit
-val pp_counters : Format.formatter -> counters -> unit
 
 val shutdown : t -> unit
 (** Drain the queue, stop and join every worker domain.  Idempotent.

@@ -2,7 +2,6 @@ type memory = Blue | Red
 
 let other = function Blue -> Red | Red -> Blue
 let memory_to_string = function Blue -> "blue" | Red -> "red"
-let pp_memory ppf m = Format.pp_print_string ppf (memory_to_string m)
 let memories = [ Blue; Red ]
 
 type pool = { procs : int; capacity : float }

@@ -13,7 +13,6 @@ type memory = Blue | Red  (** pools [0] and [1] of a dual-memory platform *)
 
 val other : memory -> memory
 val memory_to_string : memory -> string
-val pp_memory : Format.formatter -> memory -> unit
 val memories : memory list
 
 type pool = {

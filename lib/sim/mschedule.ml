@@ -1,11 +1,12 @@
 let pool_of platform (s : Schedule.t) i = Platform.pool_of_proc platform s.Schedule.procs.(i)
-let duration problem platform s i = Mproblem.duration problem i (pool_of platform s i)
-let finish problem platform (s : Schedule.t) i = s.Schedule.starts.(i) +. duration problem platform s i
+let duration durations platform s i = durations.(pool_of platform s i).(i)
+let finish durations platform (s : Schedule.t) i =
+  s.Schedule.starts.(i) +. duration durations platform s i
 
-let makespan problem platform (s : Schedule.t) =
+let makespan durations platform (s : Schedule.t) =
   let m = ref 0. in
   for i = 0 to Array.length s.Schedule.starts - 1 do
-    m := Float.max !m (finish problem platform s i)
+    m := Float.max !m (finish durations platform s i)
   done;
   !m
 
@@ -18,15 +19,14 @@ type report = {
 
 (* Event sweep per pool; frees before allocations at equal instants, as in
    the dual-memory Events module. *)
-let usage_trace problem platform (s : Schedule.t) =
-  let g = problem.Mproblem.graph in
+let usage_trace g durations platform (s : Schedule.t) =
   let k = Platform.n_pools platform in
   let events = ref [] in
   let push time kind pool delta = if not (Float.equal delta 0.) then events := (time, kind, pool, delta) :: !events in
   for i = 0 to Dag.n_tasks g - 1 do
     let pool = pool_of platform s i in
     push s.Schedule.starts.(i) 1 pool (Dag.out_size g i);
-    push (finish problem platform s i) 0 pool (-.Dag.in_size g i)
+    push (finish durations platform s i) 0 pool (-.Dag.in_size g i)
   done;
   Array.iter
     (fun (e : Dag.edge) ->
@@ -62,8 +62,10 @@ let usage_trace problem platform (s : Schedule.t) =
     events;
   (peaks, min_usage, usage)
 
-let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
-  let g = problem.Mproblem.graph in
+let validate ?(eps = 1e-6) g ~durations platform (s : Schedule.t) =
+  Dag.check_durations ~fn:"Mschedule.validate" g durations;
+  if Array.length durations <> Platform.n_pools platform then
+    invalid_arg "Mschedule.validate: one duration column per memory pool";
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let name i = Dag.name g i in
@@ -82,12 +84,12 @@ let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
         | false, Some _ ->
           err "edge %s->%s: same-pool edge with a transfer" (name e.Dag.src) (name e.Dag.dst)
         | true, Some tau ->
-          if finish problem platform s e.Dag.src > tau +. eps then
+          if finish durations platform s e.Dag.src > tau +. eps then
             err "edge %s->%s: transfer before producer finishes" (name e.Dag.src) (name e.Dag.dst);
           if tau +. e.Dag.comm > s.Schedule.starts.(e.Dag.dst) +. eps then
             err "edge %s->%s: transfer ends after consumer starts" (name e.Dag.src) (name e.Dag.dst)
         | false, None ->
-          if finish problem platform s e.Dag.src > s.Schedule.starts.(e.Dag.dst) +. eps then
+          if finish durations platform s e.Dag.src > s.Schedule.starts.(e.Dag.dst) +. eps then
             err "edge %s->%s: consumer before producer" (name e.Dag.src) (name e.Dag.dst))
       (Dag.edges g);
     (* Resource exclusivity per processor. *)
@@ -101,12 +103,12 @@ let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
           (fun a b ->
             let c = Float.compare s.Schedule.starts.(a) s.Schedule.starts.(b) in
             if c <> 0 then c
-            else Float.compare (finish problem platform s a) (finish problem platform s b))
+            else Float.compare (finish durations platform s a) (finish durations platform s b))
           !tasks
       in
       let rec check = function
         | a :: (b :: _ as rest) ->
-          if finish problem platform s a > s.Schedule.starts.(b) +. eps then
+          if finish durations platform s a > s.Schedule.starts.(b) +. eps then
             err "processor %d: tasks %s and %s overlap" p (name a) (name b);
           check rest
         | _ -> ()
@@ -115,7 +117,7 @@ let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
     done;
     if !errors <> [] then Error (List.rev !errors)
     else begin
-      let peaks, min_usage, _final = usage_trace problem platform s in
+      let peaks, min_usage, _final = usage_trace g durations platform s in
       Array.iteri
         (fun k peak ->
           if peak > Platform.pool_capacity platform k +. eps then
@@ -123,12 +125,12 @@ let validate ?(eps = 1e-6) problem platform (s : Schedule.t) =
           if min_usage.(k) < -.eps then err "pool %d: negative usage (bad file lifetimes)" k)
         peaks;
       match List.rev !errors with
-      | [] -> Ok { makespan = makespan problem platform s; peaks }
+      | [] -> Ok { makespan = makespan durations platform s; peaks }
       | errs -> Error errs
     end
   end
 
-let validate_exn ?eps problem platform s =
-  match validate ?eps problem platform s with
+let validate_exn ?eps g ~durations platform s =
+  match validate ?eps g ~durations platform s with
   | Ok r -> r
   | Error errs -> failwith (String.concat "\n" errs)

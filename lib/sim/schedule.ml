@@ -101,20 +101,3 @@ let tasks_of_proc g platform s p =
       let c = Float.compare s.starts.(a) s.starts.(b) in
       if c <> 0 then c else Float.compare (finish g platform s a) (finish g platform s b))
     !on_p
-
-let pp g platform ppf s =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to Dag.n_tasks g - 1 do
-    Format.fprintf ppf "%s: proc %d (%a) [%g, %g)@,"
-      (Dag.name g i) s.procs.(i) Platform.pp_memory (memory_of platform s i)
-      s.starts.(i) (finish g platform s i)
-  done;
-  let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g and e_comm = Dag.Csr.e_comm g in
-  for k = 0 to Dag.n_edges g - 1 do
-    match s.comm_starts.(k) with
-    | Some tau ->
-      Format.fprintf ppf "comm %s->%s [%g, %g)@," (Dag.name g e_src.(k)) (Dag.name g e_dst.(k)) tau
-        (tau +. e_comm.(k))
-    | None -> ()
-  done;
-  Format.fprintf ppf "@]"

@@ -56,6 +56,3 @@ val tasks_by_proc : Dag.t -> Platform.t -> t -> int array * int array
 val finishes : Dag.t -> Platform.t -> t -> float array
 (** All finish times in one flat pass; [finishes g p s].(i) is bit-identical
     to [finish g p s i]. *)
-
-val pp : Dag.t -> Platform.t -> Format.formatter -> t -> unit
-(** Human-readable listing of task placements and transfers. *)

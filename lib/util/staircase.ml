@@ -380,11 +380,3 @@ let breakpoints s =
   build (s.len - 1) []
 
 let length s = s.len - s.dead
-
-let pp ppf s =
-  Format.fprintf ppf "@[<h>";
-  for i = s.dead to s.len - 1 do
-    if i > s.dead then Format.fprintf ppf " ";
-    Format.fprintf ppf "[%g:%g]" s.xs.(i) s.vs.(i)
-  done;
-  Format.fprintf ppf "@]"

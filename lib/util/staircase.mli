@@ -117,4 +117,3 @@ val undo_to : t -> mark -> unit
     restoring the staircase to its exact state at that point.  Marks must be
     consumed LIFO. *)
 
-val pp : Format.formatter -> t -> unit

@@ -61,7 +61,3 @@ let summarize xs =
     median = median xs;
     max = maximum xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n s.mean s.stdev s.min
-    s.median s.max

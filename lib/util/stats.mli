@@ -29,4 +29,3 @@ type summary = {
 }
 
 val summarize : float list -> summary
-val pp_summary : Format.formatter -> summary -> unit

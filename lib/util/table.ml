@@ -47,8 +47,6 @@ let render ?align ~header rows =
   List.iter emit rows;
   Buffer.contents buf
 
-let print ?align ~header rows = print_string (render ?align ~header rows)
-
 let cell_f f =
   if Float.is_nan f then "-"
   else if Float.equal f infinity then "inf"

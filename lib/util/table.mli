@@ -7,9 +7,6 @@ val render : ?align:align list -> header:string list -> string list list -> stri
     header.  Ragged rows are padded with empty cells.  [align] gives the
     per-column alignment (default: first column left, others right). *)
 
-val print : ?align:align list -> header:string list -> string list list -> unit
-(** [render] followed by [print_string]. *)
-
 val cell_f : float -> string
 (** Numeric cell: ["%.3f"], or ["-"] for [nan], ["inf"] for infinities. *)
 

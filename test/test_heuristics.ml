@@ -207,6 +207,54 @@ let test_state_copy_isolated () =
   check_bool "copy can continue independently" true
     (Option.is_some (estimate snap 1 blue))
 
+(* A copy shares no mutable state with its source, probe scratch included:
+   probing on the copy leaves the source's slots from its own last probe,
+   and committing on the copy leaves the source's schedule, ready set and
+   staircases as they were. *)
+let test_state_copy_shares_nothing () =
+  let g =
+    build_dag
+      ~tasks:[ ("A", 2., 2.); ("B", 2., 2.); ("C", 3., 1.); ("D", 5., 7.) ]
+      ~edges:[ (0, 2, 3., 1.); (1, 2, 2., 1.) ]
+  in
+  let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:20. ~m_red:20. in
+  let st = Sched_state.create g p in
+  let _ = commit_on st 0 blue in
+  let _ = commit_on st 1 red in
+  let floors = Array.make (Dag.n_tasks g) 0. in
+  let slots st =
+    List.map
+      (fun q ->
+        if Sched_state.probe_fits st q then
+          let e = Sched_state.probe_estimate st 2 q in
+          Some (e.Sched_state.est, e.Sched_state.eft, Sched_state.probe_eft st q)
+        else None)
+      [ blue; red ]
+  in
+  let best = Sched_state.probe st ~not_before:floors 2 in
+  let before = slots st in
+  check_bool "C fits somewhere" true (best >= 0);
+  let schedule = Sched_state.snapshot_schedule st in
+  let ready = Sched_state.ready_tasks st in
+  let free = List.map (Sched_state.free_mem_final st) [ blue; red ] in
+  let cp = Sched_state.copy st in
+  check_int "D probes on the copy" blue (Sched_state.probe cp ~not_before:floors 3);
+  let slot = Alcotest.(list (option (triple (float 0.) (float 0.) (float 0.)))) in
+  Alcotest.check slot "source slots survive a probe on the copy" before (slots st);
+  let _ = commit_on cp 2 red in
+  let _ = commit_on cp 3 blue in
+  check_int "copy complete" 4 (Sched_state.n_assigned cp);
+  check_int "source untouched" 2 (Sched_state.n_assigned st);
+  let now = Sched_state.schedule st in
+  Alcotest.(check (array (float 0.))) "starts" schedule.Schedule.starts now.Schedule.starts;
+  Alcotest.(check (array int)) "procs" schedule.Schedule.procs now.Schedule.procs;
+  Alcotest.(check (array (option (float 0.))))
+    "transfers" schedule.Schedule.comm_starts now.Schedule.comm_starts;
+  Alcotest.(check (list int)) "ready set" ready (Sched_state.ready_tasks st);
+  Alcotest.(check (list (float 0.)))
+    "free-memory staircases" free
+    (List.map (Sched_state.free_mem_final st) [ blue; red ])
+
 let test_free_mem_final_tracks_retained () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
@@ -594,6 +642,7 @@ let () =
            Alcotest.test_case "not ready" `Quick test_estimate_not_ready;
            Alcotest.test_case "double commit" `Quick test_commit_rejects_double;
            Alcotest.test_case "copy isolation" `Quick test_state_copy_isolated;
+           Alcotest.test_case "copy shares no mutable state" `Quick test_state_copy_shares_nothing;
            Alcotest.test_case "retained memory" `Quick test_free_mem_final_tracks_retained;
            Alcotest.test_case "retained words after LU n=40" `Quick test_retained_state_words;
            Alcotest.test_case "batched vs per-edge EST" `Quick test_batched_vs_per_edge ] );

@@ -1,6 +1,7 @@
 (* Tests for platforms with k memory pools — the paper's SS 7 future work.
-   The scheduling core runs on any pool count; Mschedule is the independent
-   k-pool validity oracle its schedules are checked against.  The central
+   The scheduling core runs on any pool count, reading per-pool durations as
+   pool-major columns; Mschedule is the independent k-pool validity oracle
+   its schedules are checked against.  The central
    properties: a 2-pool platform built pool by pool schedules exactly like
    the dual-memory one, and 3-pool schedules pass the k-pool oracle. *)
 
@@ -9,23 +10,24 @@ open Helpers
 let three_pool ?(caps = [ 20.; 20.; 20. ]) () =
   Platform.of_pools (List.map (fun capacity -> { Platform.procs = 2; capacity }) caps)
 
-(* A 3-pool problem: durations favour a different pool per task class. *)
+(* A 3-pool problem: a graph and its pool-major duration columns, drawn
+   task by task. *)
 let three_pool_problem seed =
   let g = dag_of_seed ~size:15 seed in
   let rng = Rng.create (seed + 1000) in
-  let durations =
-    Array.init (Dag.n_tasks g) (fun _ ->
-        Array.init 3 (fun _ -> float_of_int (Rng.int_incl rng 1 20)))
-  in
-  Mproblem.make g ~durations
+  let durations = Array.make_matrix 3 (Dag.n_tasks g) 0. in
+  for i = 0 to Dag.n_tasks g - 1 do
+    for q = 0 to 2 do
+      durations.(q).(i) <- float_of_int (Rng.int_incl rng 1 20)
+    done
+  done;
+  (g, durations)
 
-let memheft problem p =
-  Heuristics.memheft ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
-
-let memminmin problem p =
-  Heuristics.memminmin ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
-
-let heft problem p = Heuristics.heft ~durations:(Mproblem.columns problem) problem.Mproblem.graph p
+let memheft (g, durations) p = Heuristics.memheft ~durations g p
+let memminmin (g, durations) p = Heuristics.memminmin ~durations g p
+let heft (g, durations) p = Heuristics.heft ~durations g p
+let validate (g, durations) p s = Mschedule.validate g ~durations p s
+let validate_exn (g, durations) p s = Mschedule.validate_exn g ~durations p s
 
 let raises what f =
   check_bool what true (try ignore (f ()); false with Invalid_argument _ -> true)
@@ -63,36 +65,16 @@ let test_mplatform_with_capacities () =
   Alcotest.check_raises "arity" (Invalid_argument "Platform.with_capacities: arity mismatch")
     (fun () -> ignore (Platform.with_capacities p [ 1. ]))
 
-(* ------------------------------------------------------------ mproblem --- *)
+(* ----------------------------------------------------------- durations --- *)
 
-let test_mproblem_of_dual () =
+(* The default columns are the graph's dual-memory times, blue first. *)
+let test_default_durations () =
   let g = Toy.dex () in
-  let p = Mproblem.of_dual g in
-  check_int "pools" 2 (Mproblem.n_pools p);
-  check_float "T1 pool0" 3. (Mproblem.duration p 0 0);
-  check_float "T1 pool1" 1. (Mproblem.duration p 0 1);
-  Alcotest.(check (array (float 0.))) "pool 1 column" (Dag.Csr.w_red g) (Mproblem.columns p).(1)
-
-let test_mproblem_rejects () =
-  let g = Toy.dex () in
-  check_bool "ragged" true
-    (try ignore (Mproblem.make g ~durations:[| [| 1. |]; [| 1.; 2. |]; [| 1. |]; [| 1. |] |]); false
-     with Invalid_argument _ -> true);
-  check_bool "wrong rows" true
-    (try ignore (Mproblem.make g ~durations:[| [| 1. |] |]); false
-     with Invalid_argument _ -> true);
-  check_bool "negative" true
-    (try ignore (Mproblem.make g ~durations:(Array.make 4 [| -1. |])); false
-     with Invalid_argument _ -> true)
-
-let test_mproblem_rejects_non_finite () =
-  let g = Toy.dex () in
-  List.iter
-    (fun w ->
-      check_bool (Printf.sprintf "%g rejected" w) true
-        (try ignore (Mproblem.make g ~durations:(Array.make 4 [| 1.; w |])); false
-         with Invalid_argument _ -> true))
-    [ nan; infinity; neg_infinity ]
+  let d = Dag.default_durations g in
+  check_int "pools" 2 (Array.length d);
+  check_float "T1 pool0" 3. d.(0).(0);
+  check_float "T1 pool1" 1. d.(1).(0);
+  Alcotest.(check (array (float 0.))) "pool 1 column" (Dag.Csr.w_red g) d.(1)
 
 (* ------------------------------------------------- 2-pool = dual memory --- *)
 
@@ -129,7 +111,7 @@ let three_pool_validity =
       List.for_all
         (fun run ->
           match run problem p with
-          | Ok s -> Result.is_ok (Mschedule.validate problem p s)
+          | Ok s -> Result.is_ok (validate problem p s)
           | Error _ -> true)
         [ memheft; memminmin ])
 
@@ -140,7 +122,7 @@ let three_pool_bounds_respected =
       match memheft problem p with
       | Error _ -> true
       | Ok s -> (
-        match Mschedule.validate problem p s with
+        match validate problem p s with
         | Ok r ->
           r.Mschedule.peaks.(0) <= 25. +. 1e-6
           && r.Mschedule.peaks.(1) <= 30. +. 1e-6
@@ -152,7 +134,7 @@ let test_three_pool_feasible_case () =
   let p = three_pool ~caps:[ 1000.; 1000.; 1000. ] () in
   match memheft problem p with
   | Ok s ->
-    let r = Mschedule.validate_exn problem p s in
+    let r = validate_exn problem p s in
     check_bool "positive makespan" true (r.Mschedule.makespan > 0.)
   | Error f -> Alcotest.failf "unexpected failure: %s" f.Heuristics.reason
 
@@ -167,7 +149,7 @@ let test_heft_unbounded () =
   (* the memory-oblivious wrapper ignores the (tiny) capacities *)
   let s = heft problem p in
   let unbounded = Platform.with_capacities p [ infinity; infinity; infinity ] in
-  ignore (Mschedule.validate_exn problem unbounded s)
+  ignore (validate_exn problem unbounded s)
 
 let test_more_pools_help () =
   (* Splitting the same processors across more pools cannot be checked in
@@ -175,48 +157,57 @@ let test_more_pools_help () =
      workload: makespan with 3 pools <= makespan with pool 2 removed when
      every task is fastest there. *)
   let g = Toy.independent ~n:8 ~w_blue:8. ~w_red:8. in
-  let durations = Array.init 8 (fun _ -> [| 8.; 8.; 1. |]) in
-  let problem3 = Mproblem.make g ~durations in
+  let d3 = [| Array.make 8 8.; Array.make 8 8.; Array.make 8 1. |] in
   let p3 = Platform.of_pools (List.init 3 (fun _ -> { Platform.procs = 1; capacity = infinity })) in
-  let m3 = Mschedule.makespan problem3 p3 (heft problem3 p3) in
-  let problem2 = Mproblem.of_dual g in
+  let m3 = Mschedule.makespan d3 p3 (heft (g, d3) p3) in
+  let d2 = Dag.default_durations g in
   let p2 = Platform.unbounded ~p_blue:1 ~p_red:1 in
-  let m2 = Mschedule.makespan problem2 p2 (heft problem2 p2) in
+  let m2 = Mschedule.makespan d2 p2 (heft (g, d2) p2) in
   check_bool "fast third pool helps" true (m3 < m2)
 
 (* The core takes the pool count from the platform and the durations from
    their columns: the two must agree. *)
 let test_durations_must_match_pools () =
-  let problem = three_pool_problem 3 in
-  let g = problem.Mproblem.graph in
+  let g, durations = three_pool_problem 3 in
   raises "dual durations on 3 pools" (fun () -> Heuristics.memheft g (three_pool ()));
   raises "3 columns on 2 pools" (fun () ->
-      Heuristics.memheft ~durations:(Mproblem.columns problem) g
-        (Platform.unbounded ~p_blue:1 ~p_red:1))
+      Heuristics.memheft ~durations g (Platform.unbounded ~p_blue:1 ~p_red:1))
 
-(* Raw columns that bypass Mproblem get the builder's checks at the core's
-   door: a NaN would otherwise lose every EFT comparison silently. *)
+(* Raw columns get the builder's checks at the core's one gate: a NaN would
+   otherwise lose every EFT comparison silently, and a short column would
+   read past a task's entry.  Each malformed set of columns is refused by
+   both heuristics, by the ranks and by the state they plan on. *)
 let test_raw_columns_rejected () =
-  let problem = three_pool_problem 3 in
-  let g = problem.Mproblem.graph in
+  let g, durations = three_pool_problem 3 in
+  let with_entry w =
+    let d = Array.map Array.copy durations in
+    d.(1).(0) <- w;
+    (Printf.sprintf "duration %h" w, d)
+  in
+  let short =
+    let d = Array.map Array.copy durations in
+    d.(2) <- Array.sub d.(2) 0 (Dag.n_tasks g - 1);
+    ("a short column", d)
+  in
   List.iter
-    (fun w ->
-      let durations = Mproblem.columns problem in
-      durations.(1).(0) <- w;
-      let what = Printf.sprintf "duration %h" w in
+    (fun (what, durations) ->
       raises ("memheft " ^ what) (fun () -> Heuristics.memheft ~durations g (three_pool ()));
       raises ("memminmin " ^ what) (fun () -> Heuristics.memminmin ~durations g (three_pool ()));
-      raises ("ranks " ^ what) (fun () -> Rank.upward_ranks ~durations g))
-    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
+      raises ("ranks " ^ what) (fun () -> Rank.upward_ranks ~durations g);
+      raises ("state " ^ what) (fun () -> Sched_state.create ~durations g (three_pool ())))
+    (short
+     :: ("zero columns", [||])
+     :: List.map with_entry [ Float.nan; Float.infinity; Float.neg_infinity; -1. ])
 
 (* ------------------------------------------------------------ validator --- *)
 
 let test_mvalidate_rejects () =
-  let problem = Mproblem.of_dual (Toy.dex ()) in
+  let g = Toy.dex () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:5. ~m_red:5. in
-  let s = Schedule.create (Toy.dex ()) in
+  let s = Schedule.create g in
   (* all tasks at time 0 on proc 0: precedence + overlap violations *)
-  check_bool "rejected" true (Result.is_error (Mschedule.validate problem p s))
+  check_bool "rejected" true
+    (Result.is_error (Mschedule.validate g ~durations:(Dag.default_durations g) p s))
 
 (* ---------------------------------------------------- dual-only layers --- *)
 
@@ -224,7 +215,7 @@ let test_mvalidate_rejects () =
    pool 2. *)
 let test_dual_layers_refuse_three_pools () =
   let problem = three_pool_problem 5 in
-  let g = problem.Mproblem.graph in
+  let g = fst problem in
   let p = three_pool ~caps:[ 1000.; 1000.; 1000. ] () in
   let s = Result.get_ok (memheft problem p) in
   raises "Validator.validate" (fun () -> Validator.validate g p s);
@@ -242,10 +233,7 @@ let () =
           Alcotest.test_case "rejects" `Quick test_mplatform_rejects;
           Alcotest.test_case "of_dual" `Quick test_mplatform_of_dual;
           Alcotest.test_case "with_capacities" `Quick test_mplatform_with_capacities ] );
-      ( "mproblem",
-        [ Alcotest.test_case "of_dual" `Quick test_mproblem_of_dual;
-          Alcotest.test_case "rejects" `Quick test_mproblem_rejects;
-          Alcotest.test_case "rejects non-finite durations" `Quick test_mproblem_rejects_non_finite ] );
+      ("durations", [ Alcotest.test_case "dual default" `Quick test_default_durations ]);
       ("consistency", [ dual_consistency ]);
       ( "three-pools",
         [ three_pool_validity;

@@ -94,12 +94,14 @@ online-smoke: build
 # Fixed-seed differential-fuzzing smoke run: 500 cases through the whole
 # oracle registry (lib/check), serially and on the parallel runtime.  Any
 # violation exits non-zero and serialises the shrunk instance into
-# test/corpus/; the two reports must be byte-identical.
+# test/corpus/; the two reports must be byte-identical, and the serial
+# report must match the committed test/golden/fuzz_smoke.txt byte for byte.
 fuzz-smoke: build
 	mkdir -p $(TMP)
 	dune exec bin/memsched_cli.exe -- check --cases 500 --seed 42 --jobs 2 > $(TMP)/fuzz_jobs2.out; status=$$?; cat $(TMP)/fuzz_jobs2.out; exit $$status
 	dune exec bin/memsched_cli.exe -- check --cases 500 --seed 42 --jobs 1 > $(TMP)/fuzz_jobs1.out
 	cmp $(TMP)/fuzz_jobs1.out $(TMP)/fuzz_jobs2.out
+	diff test/golden/fuzz_smoke.txt $(TMP)/fuzz_jobs1.out
 	@echo "fuzz-smoke OK"
 
 # Tier-1 verification plus a smoke run of the parallel runtime: the CLI is

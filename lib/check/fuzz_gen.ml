@@ -179,7 +179,3 @@ let instance rng =
   let shape_label, g = cost_regime rng (shape rng) in
   let plat_label, platform = platform_regime rng g in
   Fuzz_instance.make ~label:(shape_label ^ "/" ^ plat_label) g platform
-
-let families =
-  [ "daggen"; "daggen-chainy"; "daggen-wide"; "chain"; "fork-join"; "diamond"; "independent";
-    "broadcast"; "disconnected"; "lu"; "cholesky" ]

@@ -14,16 +14,3 @@
 
 val instance : Rng.t -> Fuzz_instance.t
 (** Draw one case; the label records the shape, cost and platform regime. *)
-
-val families : string list
-(** Names of the DAG shape families (documentation / reporting). *)
-
-(** {2 Exposed for tests} *)
-
-val map_costs :
-  task:(Dag.task -> float * float) -> edge:(Dag.edge -> float * float) -> Dag.t -> Dag.t
-(** Rebuild a DAG with transformed per-task times and per-edge (size, comm). *)
-
-val union : Dag.t -> Dag.t -> Dag.t
-(** Disjoint union (disconnected components), tasks of the first graph
-    first. *)

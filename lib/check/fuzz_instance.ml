@@ -47,7 +47,3 @@ let of_string s =
     | _ -> fail "expected 'platform <p_blue> <p_red> <m_blue> <m_red>' on line 2"
   in
   { label; dag = Dag.of_string rest; platform }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d tasks, %d edges, %a" t.label (Dag.n_tasks t.dag) (Dag.n_edges t.dag)
-    Platform.pp t.platform

@@ -21,5 +21,3 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** @raise Invalid_argument on malformed input. *)
-
-val pp : Format.formatter -> t -> unit

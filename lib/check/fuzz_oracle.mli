@@ -64,7 +64,3 @@ val all : t list
 
 val names : string list
 val find : string -> t option
-
-val heuristic_names : Heuristics.name list
-(** Every heuristic the oracles exercise (the paper's four plus the
-    extensions). *)

@@ -93,7 +93,10 @@ type result = {
 let still_fails cfg (oracle : Fuzz_oracle.t) inst =
   match oracle.Fuzz_oracle.check cfg inst with Fuzz_oracle.Fail _ -> true | _ -> false
 
-let shrink ?(max_attempts = 1500) cfg (oracle : Fuzz_oracle.t) instance =
+(* Bound on the oracle evaluations one shrink may spend. *)
+let max_attempts = 1500
+
+let shrink cfg (oracle : Fuzz_oracle.t) instance =
   let attempts = ref 0 in
   let rec fixpoint rounds current =
     let rec try_candidates = function

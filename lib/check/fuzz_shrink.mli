@@ -12,11 +12,10 @@ type result = {
   attempts : int;  (** oracle evaluations spent *)
 }
 
-val shrink :
-  ?max_attempts:int -> Fuzz_oracle.config -> Fuzz_oracle.t -> Fuzz_instance.t -> result
+val shrink : Fuzz_oracle.config -> Fuzz_oracle.t -> Fuzz_instance.t -> result
 (** [shrink cfg oracle inst] assumes [oracle] currently fails on [inst]
-    (otherwise it returns [inst] unchanged).  [max_attempts] (default 1500)
-    bounds the total number of oracle evaluations. *)
+    (otherwise it returns [inst] unchanged).  It spends at most 1500 oracle
+    evaluations. *)
 
 (** {2 Individual moves (exposed for tests)} *)
 

@@ -106,11 +106,6 @@ val heft :
 val minmin : ?options:Sched_state.options -> Dag.t -> Platform.t -> Schedule.t
 (** Reference MinMin, memory-oblivious. *)
 
-val unbounded_platform : Platform.t -> Platform.t
-(** The same processors with every pool unbounded: what the
-    memory-oblivious heuristics run on, and what their schedules are
-    validated against. *)
-
 val heft_measured :
   ?options:Sched_state.options ->
   ?rng:Rng.t ->
@@ -156,8 +151,9 @@ val is_memory_aware : name -> bool
 
 val validation_platform : name -> Platform.t -> Platform.t
 (** The platform a heuristic's schedule is validated against: the platform
-    itself for a memory-aware heuristic, {!unbounded_platform} for a
-    memory-oblivious one, which plans against unbounded memories. *)
+    itself for a memory-aware heuristic; for a memory-oblivious one, the
+    same processors with every pool unbounded, which is what it plans
+    against. *)
 
 val run :
   ?options:Sched_state.options ->

@@ -446,21 +446,13 @@ let of_string s =
     if !edges_seen <> m then fail "expected %d edges, got %d" m !edges_seen;
     Builder.finalize b
 
-let to_dot ?highlight g =
+let to_dot g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph dag {\n  rankdir=TB;\n  node [shape=box];\n";
   for i = 0 to n_tasks g - 1 do
-    let fill =
-      match highlight with
-      | Some f -> (
-        match f i with
-        | Some color -> Printf.sprintf ", style=filled, fillcolor=\"%s\"" color
-        | None -> "")
-      | None -> ""
-    in
     Buffer.add_string buf
-      (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"%s];\n" i g.names.(i) g.w_blue.(i)
-         g.w_red.(i) fill)
+      (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"];\n" i g.names.(i) g.w_blue.(i)
+         g.w_red.(i))
   done;
   for k = 0 to n_edges g - 1 do
     Buffer.add_string buf

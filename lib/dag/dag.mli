@@ -206,9 +206,9 @@ val to_string : t -> string
 val of_string : string -> t
 (** @raise Invalid_argument on malformed input. *)
 
-val to_dot : ?highlight:(int -> string option) -> t -> string
-(** GraphViz rendering.  [highlight i] may return a fill colour for task
-    [i]. *)
+val to_dot : t -> string
+(** GraphViz rendering: one box per task labelled with its times, one arrow
+    per edge labelled with its file size and transfer time. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: node/edge counts, degree and cost ranges. *)

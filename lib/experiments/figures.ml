@@ -141,8 +141,7 @@ let print_normalized ~report ~label ~csv out_dir alphas series =
 (* --------------------------------------------------------------- Figure 10 *)
 
 let figure10 ?(out_dir = "results") ?(report = quiet) ?pool ?(count = 50) ?(alphas = default_alphas)
-    ?(exact_nodes = 10_000) ?(capped_count = 15) ?(tiny_count = 20) ?(tiny_exact_nodes = 200_000)
-    () =
+    ?(exact_nodes = 10_000) ?(capped_count = 15) ?(tiny_count = 20) () =
   let platform = Workloads.platform_random in
   let baselines = Sweep.baselines ?pool platform (Workloads.small_rand_set ~count ()) in
   let series =
@@ -165,8 +164,9 @@ let figure10 ?(out_dir = "results") ?(report = quiet) ?pool ?(count = 50) ?(alph
           Sweep.normalized_sweep ?pool platform ~alphas:exact_alphas h tiny ))
       [ Heuristics.MemHEFT; Heuristics.MemMinMin ]
   in
+  (* A budget the 10-task instances certify within. *)
   let tiny_exact =
-    Sweep.exact_sweep ?pool ~node_limit:tiny_exact_nodes platform ~alphas:exact_alphas tiny
+    Sweep.exact_sweep ?pool ~node_limit:200_000 platform ~alphas:exact_alphas tiny
   in
   let capped_baselines =
     List.filteri (fun k _ -> k < capped_count) baselines
@@ -267,9 +267,8 @@ let absolute_detail ~report ~label ~csv ?pool ?(exact_nodes = None) out_dir plat
   report (Table.render ~header rows);
   write_csv out_dir csv (List.map (String.map (fun c -> if c = ' ' then '_' else c)) header) rows
 
-let figure11 ?(out_dir = "results") ?(report = quiet) ?pool ?(dag_index = 0) ?(points = 24) () =
-  let dags = Workloads.small_rand_set ~count:(dag_index + 1) () in
-  let dag = List.nth dags dag_index in
+let figure11 ?(out_dir = "results") ?(report = quiet) ?pool ?(points = 24) () =
+  let dag = List.nth (Workloads.small_rand_set ~count:1 ()) 0 in
   absolute_detail ~report
     ~label:"Figure 11 -- makespan vs memory for one SmallRandSet DAG"
     ~csv:"figure11.csv" ?pool ~exact_nodes:(Some 100_000) out_dir Workloads.platform_random dag

@@ -36,24 +36,23 @@ val figure10 :
   ?exact_nodes:int ->
   ?capped_count:int ->
   ?tiny_count:int ->
-  ?tiny_exact_nodes:int ->
   unit ->
   unit
 (** Figure 10: SmallRandSet normalised sweep (MemHEFT, MemMinMin) plus the
     "Optimal" series.  The exact series is computed with certificates on the
-    10-task companion set ([tiny_count] DAGs) and with a node budget
-    ([exact_nodes]) on the 30-task set (uncertified points are reported as
-    such); see DESIGN.md for the CPLEX substitution. *)
+    10-task companion set ([tiny_count] DAGs, a 200 000-node budget each)
+    and with a node budget ([exact_nodes]) on the 30-task set (uncertified
+    points are reported as such); see DESIGN.md for the CPLEX
+    substitution. *)
 
 val figure11 :
   ?out_dir:string ->
   ?report:(string -> unit) ->
   ?pool:Par.t ->
-  ?dag_index:int ->
   ?points:int ->
   unit ->
   unit
-(** Figure 11: absolute memory-vs-makespan detail for one SmallRandSet DAG,
+(** Figure 11: absolute memory-vs-makespan detail for the first SmallRandSet DAG,
     with the HEFT/MinMin reference lines and the makespan lower bound. *)
 
 val figure12 :

@@ -1,7 +1,6 @@
 let relay_prefix = "bcast_"
 
-let linearize ?(max_fanout = 1) g =
-  if max_fanout < 1 then invalid_arg "Broadcast.linearize: max_fanout must be >= 1";
+let linearize g =
   let b = Dag.Builder.create () in
   let n = Dag.n_tasks g in
   let w_blue = Dag.Csr.w_blue g and w_red = Dag.Csr.w_red g in
@@ -14,7 +13,7 @@ let linearize ?(max_fanout = 1) g =
   let relay_name i k = relay_prefix ^ Dag.name g i ^ "_" ^ string_of_int k in
   for i = 0 to n - 1 do
     let d = off.(i + 1) - off.(i) in
-    if d <= max_fanout then
+    if d <= 1 then
       for p = off.(i) to off.(i + 1) - 1 do
         Dag.Builder.add_edge b ~src:i ~dst:dst.(p) ~size:e_size.(eid.(p)) ~comm:e_comm.(eid.(p))
       done

@@ -9,9 +9,9 @@
     consumers.  Memory then holds at most three copies per broadcast step
     instead of [d + 1]. *)
 
-val linearize : ?max_fanout:int -> Dag.t -> Dag.t
-(** [linearize g] rewrites every task whose out-degree exceeds [max_fanout]
-    (default 1) into a relay pipeline of zero-work tasks.  All outgoing edges
+val linearize : Dag.t -> Dag.t
+(** [linearize g] rewrites every task with more than one child into a relay
+    pipeline of zero-work tasks.  All outgoing edges
     of a rewritten task must carry identical [size] and [comm] attributes
     (they represent the same datum).
     @raise Invalid_argument if a high-fanout task has heterogeneous outgoing

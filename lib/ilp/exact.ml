@@ -36,9 +36,8 @@ let status_of best_schedule capped =
   | None, false -> Proven_infeasible
   | None, true -> Unknown
 
-(* Pre-overhaul copy-based search, kept verbatim as the A/B reference (the
-   qtests assert the undo-based solver visits the same tree node for node and
-   agrees with the dominance/frontier solver whenever both certify).  The
+(* Pre-overhaul copy-based search, kept as the A/B reference (the qtests
+   assert the overhauled solver agrees with it whenever both certify).  The
    edits relative to the original are the float-discipline fixes the lint
    cannot see syntactically ([Float.compare] on the [eft] record fields,
    [Option.is_none] instead of polymorphic [= None]) — both are
@@ -46,17 +45,13 @@ let status_of best_schedule capped =
    [best_bound] field the overhaul added to [result], and the planning
    state: [Sched_state.Reference], so the reference shares neither the
    estimate code nor the forgetting horizon with the search it checks. *)
-let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platform =
+let solve_reference ?(node_limit = 2_000_000) g platform =
   let n = Dag.n_tasks g in
   let pools = List.init (Platform.n_pools platform) Fun.id in
   let bottom = bottom_levels g in
-  let incumbent = ref infinity in
-  let best_schedule = ref None in
-  if seed_incumbent then begin
-    let inc, best = seed_heuristics g platform in
-    incumbent := inc;
-    best_schedule := best
-  end;
+  let seed_val, seed_sched = seed_heuristics g platform in
+  let incumbent = ref seed_val in
+  let best_schedule = ref seed_sched in
   let nodes = ref 0 in
   let capped = ref false in
   (* Depth-first over (ready task, pool) decisions. *)
@@ -126,9 +121,12 @@ let solve_reference ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platfor
    hashtable entry). *)
 let transposition_cap = 1_000_000
 
-let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
-    ?(seed_incumbent = true) g platform =
-  if frontier < 1 then invalid_arg "Exact.solve: frontier must be >= 1";
+(* How many subtree roots the breadth-first split aims for.  A constant,
+   never derived from the pool's job count, so every output is
+   jobs-invariant. *)
+let frontier = 32
+
+let solve ?pool ?(node_limit = 2_000_000) ?(seed_incumbent = true) g platform =
   let n = Dag.n_tasks g in
   let n_pools = Platform.n_pools platform in
   let bottom = bottom_levels g in
@@ -213,17 +211,14 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
       (List.rev !acc)
   in
   (* In-place depth-first search over a trailing state: commit, recurse,
-     uncommit.  With [dominance = false] the control flow replicates
-     [solve_reference] exactly (same candidates, same order, same budget
-     checks), so the two visit the same tree node for node — the A/B qtests
-     assert exactly that. *)
+     uncommit. *)
   let search state ~start_max ~budget ~incumbent0 =
     let inc = ref incumbent0 in
     let found = ref None in
     let nodes = ref 0 in
     let cap = ref false in
     let olb = ref infinity in
-    let seen = if dominance then Some (Hashtbl.create 1024) else None in
+    let seen = Hashtbl.create 1024 in
     let rec explore current_max =
       if !nodes >= budget then begin
         cap := true;
@@ -238,19 +233,16 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
           end
         end
         else begin
+          (* Bound prune first (certified, no table traffic), then the
+             transposition check. *)
           let dominated =
-            match seen with
-            | None -> false
-            | Some tbl ->
-              (* Bound prune first (certified, no table traffic), then the
-                 transposition check. *)
-              Float.max current_max (prec_bound state) >= !inc -. eps
-              ||
-              let key = signature state in
-              Hashtbl.mem tbl key
-              ||
-              (if Hashtbl.length tbl < transposition_cap then Hashtbl.add tbl key ();
-               false)
+            Float.max current_max (prec_bound state) >= !inc -. eps
+            ||
+            let key = signature state in
+            Hashtbl.mem seen key
+            ||
+            (if Hashtbl.length seen < transposition_cap then Hashtbl.add seen key ();
+             false)
           in
           if not dominated then
             List.iter
@@ -279,9 +271,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
      and hence every output byte is identical for every --jobs value; the
      pool only changes how many subtrees run at once.  Each queue entry is a
      decision prefix (reversed) plus the max EFT along it; prefixes are
-     replayed onto one trailing state to expand them.  With [frontier = 1]
-     nothing is expanded and the root is the one subtree, searched with the
-     whole budget. *)
+     replayed onto one trailing state to expand them. *)
   let state = fresh_state () in
   let replay prefix = List.iter (fun e -> Sched_state.commit state e) (List.rev prefix) in
   let unreplay prefix = List.iter (fun _ -> Sched_state.uncommit state) prefix in
@@ -304,7 +294,7 @@ let solve ?pool ?(frontier = 32) ?(dominance = true) ?(node_limit = 2_000_000)
           best := Some (Sched_state.snapshot_schedule state)
         end
       end
-      else if (not dominance) || Float.max pmax (prec_bound state) < !incumbent -. eps then
+      else if Float.max pmax (prec_bound state) < !incumbent -. eps then
         List.iter
           (fun (e, _) -> Queue.add (e :: prefix, Float.max pmax e.Sched_state.eft) roots)
           (candidates state ~current_max:pmax ~incumbent:!incumbent);

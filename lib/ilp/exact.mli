@@ -21,11 +21,11 @@
     precedence-only node lower bound plus a transposition set over canonical
     partial-schedule signatures), and a deterministic parallel mode that
     splits the tree breadth-first into a {e fixed-size} frontier of subtrees
-    solved over a [lib/par] pool.  The frontier size never depends on the job
-    count and workers never share incumbents, so statuses, makespans,
-    schedules and node counts are identical for every [--jobs] value.
-    {!solve_reference} is the pre-overhaul copy-based search, kept verbatim
-    as the reference the A/B tests compare against. *)
+    solved over a [lib/par] pool.  The frontier size (32 subtree roots) never
+    depends on the job count and workers never share incumbents, so
+    statuses, makespans, schedules and node counts are identical for every
+    [--jobs] value.  {!solve_reference} is the pre-overhaul copy-based
+    search, kept as the reference the A/B tests compare against. *)
 
 type status =
   | Proven_optimal  (** search exhausted: best found is optimal (in-class) *)
@@ -49,32 +49,19 @@ type result = {
 }
 
 val solve :
-  ?pool:Par.t ->
-  ?frontier:int ->
-  ?dominance:bool ->
-  ?node_limit:int ->
-  ?seed_incumbent:bool ->
-  Dag.t ->
-  Platform.t ->
-  result
-(** Defaults: [frontier = 32], [dominance = true], [node_limit = 2_000_000],
-    [seed_incumbent = true] (run the heuristics first for an upper bound).
+  ?pool:Par.t -> ?node_limit:int -> ?seed_incumbent:bool -> Dag.t -> Platform.t -> result
+(** Defaults: [node_limit = 2_000_000], [seed_incumbent = true] (run the
+    heuristics first for an upper bound; [false] is how a capped run ends
+    [Unknown]).
 
-    [frontier] is the number of subtree roots the breadth-first split aims
-    for; it must stay a constant across runs for outputs to be comparable
-    (it is {e not} derived from the pool size, precisely so results are
-    jobs-invariant).  [frontier = 1] disables decomposition: the root is
-    the one subtree, searched with the whole budget.
-    [dominance = false] disables the node lower bound and the transposition
-    set; combined with [frontier = 1] the search replicates
-    {!solve_reference} node for node (asserted by the A/B qtests).
     [pool]: solve subtrees on the pool's domains; with [None] (or a 1-job
-    pool) they are solved serially — same results either way.  Under
-    decomposition the node budget is split evenly over the subtrees, so the
-    total node count can exceed [node_limit] by at most the frontier size. *)
+    pool) they are solved serially — same results either way.  The node
+    budget is split evenly over the subtrees, so the total node count can
+    exceed [node_limit] by at most the frontier size. *)
 
-val solve_reference : ?node_limit:int -> ?seed_incumbent:bool -> Dag.t -> Platform.t -> result
-(** The pre-overhaul search: copies the whole scheduler state at every node
-    and prunes only with [est + bottom] against the incumbent.  It plans on
+val solve_reference : ?node_limit:int -> Dag.t -> Platform.t -> result
+(** The pre-overhaul search: always seeded by the heuristics, it copies the
+    whole scheduler state at every node and prunes only with [est + bottom]
+    against the incumbent.  It plans on
     {!Sched_state.Reference} states and estimates, so it shares neither the
     estimate code nor the forgetting horizon with {!solve}. *)

@@ -119,13 +119,13 @@ let vars t = Array.sub t.vars 0 t.nv
 let constrs t = Array.sub t.cs 0 t.nc
 let objective t = t.obj
 
-let eval _t x terms = List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. terms
+let eval x terms = List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. terms
 
 let constraint_violation t x =
   let worst = ref 0. in
   for k = 0 to t.nc - 1 do
     let c = t.cs.(k) in
-    let v = eval t x c.terms in
+    let v = eval x c.terms in
     let slack =
       match c.sense with
       | Le -> v -. c.rhs

@@ -58,7 +58,6 @@ val vars : t -> var array
 val constrs : t -> constr array
 val objective : t -> objective
 
-val eval : t -> float array -> linexpr -> float
 val constraint_violation : t -> float array -> float
 (** Largest violation of any constraint or bound under an assignment
     (0. when feasible). *)

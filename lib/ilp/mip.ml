@@ -7,8 +7,12 @@ type solution = {
   nodes : int;
 }
 
-let solve ?(node_limit = 200_000) ?time_limit ?(int_tol = 1e-6) ?(gap_tol = 1e-6) ?incumbent
-    ?(warm_start = true) lp =
+(* A relaxation value within [int_tol] of an integer counts as integral; a
+   branch whose bound is within [gap_tol] of the incumbent is pruned. *)
+let int_tol = 1e-6
+let gap_tol = 1e-6
+
+let solve ?(node_limit = 200_000) ?time_limit ?incumbent ?(warm_start = true) lp =
   (* The wall-clock budget is an explicit caller opt-in (off by default);
      campaign code never passes [time_limit], so determinism holds there. *)
   let deadline = Option.map (fun s -> Sys.time () +. s) time_limit in (* lint: allow determinism -- opt-in time budget *)

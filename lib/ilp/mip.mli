@@ -22,17 +22,15 @@ type solution = {
 val solve :
   ?node_limit:int ->
   ?time_limit:float ->
-  ?int_tol:float ->
-  ?gap_tol:float ->
   ?incumbent:float ->
   ?warm_start:bool ->
   Lp.t ->
   solution
 (** [incumbent] seeds an upper bound (e.g. from a heuristic schedule);
-    branches proving [bound >= incumbent - gap_tol] are pruned.
+    branches proving [bound >= incumbent - 1e-6] are pruned, and a
+    relaxation value within [1e-6] of an integer counts as integral.
     [time_limit] is in CPU seconds ({!Sys.time}).  Defaults:
-    [node_limit = 200_000], no time limit, [int_tol = 1e-6],
-    [gap_tol = 1e-6], [warm_start = true].
+    [node_limit = 200_000], no time limit, [warm_start = true].
 
     [warm_start]: re-solve each child node with the dual simplex from its
     parent's optimal basis ({!Simplex.solve_relaxation_warm} /

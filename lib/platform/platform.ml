@@ -89,17 +89,3 @@ let first_proc p mu =
 let w g i = function
   | Blue -> (Dag.Csr.w_blue g).(i)
   | Red -> (Dag.Csr.w_red g).(i)
-
-let pp ppf p =
-  if n_pools p = 2 then
-    Format.fprintf ppf "platform{blue: %d procs, M=%g; red: %d procs, M=%g}" p.pools.(0).procs
-      p.pools.(0).capacity p.pools.(1).procs p.pools.(1).capacity
-  else begin
-    Format.fprintf ppf "platform{";
-    Array.iteri
-      (fun q pool ->
-        if q > 0 then Format.fprintf ppf "; ";
-        Format.fprintf ppf "pool %d: %d procs, M=%g" q pool.procs pool.capacity)
-      p.pools;
-    Format.fprintf ppf "}"
-  end

@@ -67,5 +67,3 @@ val first_proc : t -> memory -> int
 
 val w : Dag.t -> int -> memory -> float
 (** Processing time of a task on a processor of the given memory. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,20 +7,21 @@ type trace = {
 (* kind 0 = free (applied first at equal times), kind 1 = alloc *)
 type event = { time : float; kind : int; mem : Platform.memory; delta : float }
 
+let nan_time = "Events.memory_trace: NaN time"
+
 (* ------------------------------------------------------------ flat path --- *)
 
 (* The flat reconstruction generates events straight into preallocated
    parallel arrays sized to the exact event count and orders them with
-   one stable radix sort on time ([Radix.sort]) instead of a heap drain.
+   one stable radix sort on time ([Radix.sort]) instead of a list sort.
 
-   The heap pops in (time, kind, seq descending) order: kind 0 (frees)
-   before kind 1 (allocations) at equal times, and equal (time, kind)
-   events in reverse insertion order — the tie rule that reproduces the
-   historical reversed-accumulator + stable-sort pipeline.  Generation
-   writes every event straight to its place in (kind, seq descending)
-   order: frees fill [0, n_free) from the top down, allocations fill
-   [n_free, m) from the top down.  A stable sort on time alone then leaves
-   exactly the heap's order, asserted against [memory_trace_reference] by
+   The reference orders events by (time, kind, seq descending): kind 0
+   (frees) before kind 1 (allocations) at equal times, and equal (time,
+   kind) events in reverse generation order.  Generation writes every
+   event straight to its place in (kind, seq descending) order: frees fill
+   [0, n_free) from the top down, allocations fill [n_free, m) from the top
+   down.  A stable sort on time alone then leaves exactly the reference's
+   order, asserted against [memory_trace_reference] by
    the parity tests and the sim-parity fuzz oracle.  That order is total
    (no two events share a seq), so any correct stable sort gives the same
    permutation, and the traces are bit-identical whichever sort runs.
@@ -119,9 +120,9 @@ let memory_trace_into sc g platform s =
   (* Inlined, so [time] and [delta] are never boxed for the call. *)
   let[@inline] push time kind mem delta =
     if not (Float.equal delta 0.) then begin
-      (* Same rejection (and message) the reference path gets from
-         [Event_queue.add], so error behaviour stays bit-identical. *)
-      if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
+      (* Same rejection (and message) as the reference path, so error
+         behaviour stays bit-identical. *)
+      if Float.is_nan time then invalid_arg nan_time;
       let slot =
         if kind = 0 then begin
           let k = !next_free in
@@ -209,13 +210,17 @@ let memory_trace ?scratch:sc g platform s =
 
 (* ------------------------------------------------------- reference path --- *)
 
-(* The pre-flattening pipeline, kept verbatim: events drained from the queue
-   into a tuple list, re-boxed through [List.map], accumulated into reversed
-   lists.  [memory_trace] above must stay bit-identical to this. *)
+(* The pre-flattening pipeline, kept as the spec [memory_trace] above must
+   stay bit-identical to: event records consed onto a list in generation
+   order, one stable sort on (time, kind), so equal (time, kind) events keep
+   reverse generation order; then reversed list accumulators. *)
 let events_of_reference g platform s =
-  let q = Event_queue.create () in
+  let evs = ref [] in
   let push time kind mem delta =
-    if not (Float.equal delta 0.) then Event_queue.add q ~time ~kind (mem, delta)
+    if not (Float.equal delta 0.) then begin
+      if Float.is_nan time then invalid_arg nan_time;
+      evs := { time; kind; mem; delta } :: !evs
+    end
   in
   for i = 0 to Dag.n_tasks g - 1 do
     let mem = Schedule.memory_of platform s i in
@@ -233,7 +238,11 @@ let events_of_reference g platform s =
       | None -> invalid_arg "Events.memory_trace: cut edge without transfer"
     end
   done;
-  List.map (fun (time, kind, (mem, delta)) -> { time; kind; mem; delta }) (Event_queue.drain q)
+  List.stable_sort
+    (fun a b ->
+      let c = Float.compare a.time b.time in
+      if c <> 0 then c else Int.compare a.kind b.kind)
+    !evs
 
 let memory_trace_reference g platform s =
   let evs = events_of_reference g platform s in

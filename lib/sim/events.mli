@@ -31,8 +31,8 @@ val scratch : unit -> scratch
 
 val memory_trace : ?scratch:scratch -> Dag.t -> Platform.t -> Schedule.t -> trace
 (** Flat reconstruction, bit-identical to {!memory_trace_reference}.
-    Events are written straight into their slots in the heap's tie order
-    (frees before allocations, then later-generated first) and ordered by
+    Events are written straight into their slots in the reference's tie
+    order (frees before allocations, then later-generated first) and ordered by
     one stable sort on time ({!Radix.sort}: LSD radix from
     {!Radix.comparison_cutoff} = 1536 events up, a merge sort below — the
     crossover measured on [rand-sweep]-sized and daemon-sized schedules,
@@ -40,7 +40,9 @@ val memory_trace : ?scratch:scratch -> Dag.t -> Platform.t -> Schedule.t -> trac
     breaks every tie — so any correct sort yields the same permutation,
     and the float accumulations see the same operands in the same order.
     The sort's arrays are typed [float array]/[int array]: a polymorphic
-    sort would box every key and delta it moves. *)
+    sort would box every key and delta it moves.
+    @raise Invalid_argument ["Events.memory_trace: NaN time"] when an event
+    with a non-zero delta falls at a NaN instant. *)
 
 val memory_trace_into : scratch -> Dag.t -> Platform.t -> Schedule.t -> int
 (** Zero-copy form of {!memory_trace}: computes the trace into the
@@ -56,9 +58,11 @@ val scratch_steps : scratch -> float array * float array * float array
     next trace over the same scratch. *)
 
 val memory_trace_reference : Dag.t -> Platform.t -> Schedule.t -> trace
-(** The pre-flattening pipeline kept verbatim (tuple-list drain, [List.map]
-    re-box, reversed list accumulators): a test and fuzz oracle, the A/B
-    baseline of the parity tests and the sim-parity fuzz oracle. *)
+(** The spec {!memory_trace} is checked against: event records consed onto
+    a list in generation order, one [List.stable_sort] on (time, kind), so
+    equal events keep reverse generation order, then reversed list
+    accumulators.  The baseline of the parity tests and the sim-parity fuzz
+    oracle; raises exactly what {!memory_trace} raises. *)
 
 val usage_at : trace -> Platform.memory -> float -> float
 (** Usage at a given instant (right-continuous step function). *)

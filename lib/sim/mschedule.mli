@@ -9,11 +9,7 @@
     Durations are the core's pool-major columns: [durations.(q).(i)] is the
     processing time of task [i] on pool [q] (see {!Dag.check_durations}). *)
 
-val pool_of : Platform.t -> Schedule.t -> int -> int
-val duration : float array array -> Platform.t -> Schedule.t -> int -> float
-val finish : float array array -> Platform.t -> Schedule.t -> int -> float
 val makespan : float array array -> Platform.t -> Schedule.t -> float
-val is_cut : Platform.t -> Schedule.t -> Dag.edge -> bool
 
 type report = {
   makespan : float;

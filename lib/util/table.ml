@@ -1,14 +1,12 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
   end
 
-let render ?align ~header rows =
+let render ~header rows =
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) (List.length header) rows in
   let normalize row =
     let n = List.length row in
@@ -20,17 +18,12 @@ let render ?align ~header rows =
   let feed row = List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row in
   feed header;
   List.iter feed rows;
-  let aligns =
-    match align with
-    | Some a -> Array.init ncols (fun i -> try List.nth a i with _ -> Right)
-    | None -> Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
   let buf = Buffer.create 1024 in
   let emit row =
     List.iteri
       (fun i cell ->
         if i > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf (pad aligns.(i) widths.(i) cell))
+        Buffer.add_string buf (pad ~left:(i = 0) widths.(i) cell))
       row;
     Buffer.add_char buf '\n'
   in

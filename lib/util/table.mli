@@ -1,11 +1,9 @@
 (** ASCII table rendering for benchmark and experiment reports. *)
 
-type align = Left | Right
-
-val render : ?align:align list -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** [render ~header rows] lays the table out with a separator line under the
-    header.  Ragged rows are padded with empty cells.  [align] gives the
-    per-column alignment (default: first column left, others right). *)
+    header.  Ragged rows are padded with empty cells.  The first column is
+    left-aligned, the others right-aligned. *)
 
 val cell_f : float -> string
 (** Numeric cell: ["%.3f"], or ["-"] for [nan], ["inf"] for infinities. *)

@@ -255,6 +255,68 @@ let test_state_copy_shares_nothing () =
     "free-memory staircases" free
     (List.map (Sched_state.free_mem_final st) [ blue; red ])
 
+(* Everything [uncommit] must restore, printed bit-exactly ([%h]): the
+   schedule arrays, the ready set with every ready task's probe slots on
+   every pool, each pool's final free memory, and the commit order. *)
+let undo_view st =
+  let floors = Array.make (Dag.n_tasks (Sched_state.graph st)) 0. in
+  let pools = List.init (Platform.n_pools (Sched_state.platform st)) Fun.id in
+  let b = Buffer.create 256 and s = Sched_state.snapshot_schedule st in
+  let f x = Printf.bprintf b "%h " x in
+  Array.iter f s.Schedule.starts;
+  Array.iter (Printf.bprintf b "%d ") s.Schedule.procs;
+  Array.iter (function Some t -> f t | None -> Buffer.add_string b "- ") s.Schedule.comm_starts;
+  List.iter
+    (fun i ->
+      Printf.bprintf b "\nready %d best %d: " i (Sched_state.probe st ~not_before:floors i);
+      List.iter
+        (fun q ->
+          if Sched_state.probe_fits st q then begin
+            let e = Sched_state.probe_estimate st i q in
+            f e.Sched_state.est;
+            f e.Sched_state.eft;
+            f (Sched_state.probe_eft st q)
+          end
+          else Buffer.add_string b "- ")
+        pools)
+    (Sched_state.ready_tasks st);
+  List.iter (fun q -> f (Sched_state.free_mem_final st q)) pools;
+  List.iter (Printf.bprintf b "%d ") (Sched_state.commit_order st);
+  Buffer.contents b
+
+(* Commit up to [k] decisions, each a seeded ready task on its best pool;
+   returns how many were made (fewer once no ready task fits). *)
+let rec commit_some rng st k =
+  match Sched_state.ready_tasks st with
+  | _ :: _ as ready when k > 0 ->
+    let i = List.nth ready (Rng.int rng (List.length ready)) in
+    let floors = Array.make (Dag.n_tasks (Sched_state.graph st)) 0. in
+    let q = Sched_state.probe st ~not_before:floors i in
+    if q < 0 then 0
+    else begin
+      Sched_state.commit st (Sched_state.probe_estimate st i q);
+      1 + commit_some rng st (k - 1)
+    end
+  | _ -> 0
+
+(* With the trail on, j commits then j uncommits restore the state bit for
+   bit, on the differential fuzzer's instances (every shape, cost and
+   platform regime). *)
+let uncommit_restores_state =
+  qtest ~count:200 "uncommit restores the state bit for bit"
+    QCheck.(triple seed_arb (int_range 0 12) (int_range 1 12))
+    (fun (seed, k, j) ->
+      let inst = Fuzz_gen.instance (Rng.create seed) in
+      let st = Sched_state.create inst.Fuzz_instance.dag inst.Fuzz_instance.platform in
+      Sched_state.set_trail st true;
+      let rng = Rng.create (seed + 1) in
+      ignore (commit_some rng st k);
+      let before = undo_view st in
+      for _ = 1 to commit_some rng st j do
+        Sched_state.uncommit st
+      done;
+      String.equal before (undo_view st))
+
 let test_free_mem_final_tracks_retained () =
   let g = ab_graph () in
   let p = Platform.make ~p_blue:1 ~p_red:1 ~m_blue:10. ~m_red:10. in
@@ -643,6 +705,7 @@ let () =
            Alcotest.test_case "double commit" `Quick test_commit_rejects_double;
            Alcotest.test_case "copy isolation" `Quick test_state_copy_isolated;
            Alcotest.test_case "copy shares no mutable state" `Quick test_state_copy_shares_nothing;
+           uncommit_restores_state;
            Alcotest.test_case "retained memory" `Quick test_free_mem_final_tracks_retained;
            Alcotest.test_case "retained words after LU n=40" `Quick test_retained_state_words;
            Alcotest.test_case "batched vs per-edge EST" `Quick test_batched_vs_per_edge ] );

@@ -451,23 +451,6 @@ let test_exact_best_bound () =
 
 let bits f = Int64.bits_of_float f
 
-(* The undo-based search in reference-parity mode (no dominance, no frontier
-   split) must visit the same tree as the copy-based reference: same status,
-   same makespan bit for bit, same node count. *)
-let exact_undo_matches_reference =
-  qtest ~count:50 "undo search == reference (status, makespan, nodes)"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = dag_of_seed ~size:7 seed in
-      let p0 = Platform.unbounded ~p_blue:2 ~p_red:1 in
-      let peak = Outcome.peak_max (Outcome.run Heuristics.HEFT g p0) in
-      let p = Platform.with_bounds p0 ~m_blue:(0.75 *. peak) ~m_red:(0.75 *. peak) in
-      let r = Exact.solve_reference ~node_limit:60_000 g p in
-      let u = Exact.solve ~frontier:1 ~dominance:false ~node_limit:60_000 g p in
-      r.Exact.status = u.Exact.status
-      && Int64.equal (bits r.Exact.makespan) (bits u.Exact.makespan)
-      && r.Exact.nodes = u.Exact.nodes)
-
 (* The full solver (dominance pruning + frontier decomposition) agrees with
    the reference whenever both certify: pruning must never change the
    certified optimum or flip feasibility. *)
@@ -838,7 +821,6 @@ let () =
           Alcotest.test_case "proven infeasible" `Quick test_exact_proven_infeasible;
           Alcotest.test_case "feasible vs unknown" `Quick test_exact_feasible_vs_unknown;
           Alcotest.test_case "best bound" `Quick test_exact_best_bound;
-          exact_undo_matches_reference;
           exact_dominance_agrees_with_reference;
           exact_jobs_invariant;
           Alcotest.test_case "pinned results of solve and solve_reference" `Quick test_exact_pins ] );

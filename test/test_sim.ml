@@ -103,6 +103,17 @@ let test_usage_at_interpolation () =
   (* During the transfer (T2,T4) on [4,5) the file is in both memories. *)
   check_float "double residency red" 3. (Events.usage_at trace Platform.Red 4.5)
 
+(* T1 (red, out size 3) starts at NaN: both trace paths reject its start
+   allocation with the same message. *)
+let test_nan_start_rejected () =
+  let p = plat ~mb:5. ~mr:5. in
+  let s = s1 () in
+  s.Schedule.starts.(0) <- Float.nan;
+  let nan_time = Invalid_argument "Events.memory_trace: NaN time" in
+  Alcotest.check_raises "flat" nan_time (fun () -> ignore (Events.memory_trace dex p s));
+  Alcotest.check_raises "reference" nan_time (fun () ->
+      ignore (Events.memory_trace_reference dex p s))
+
 (* ---------------------------------------------------------- validator --- *)
 
 let test_validator_accepts_s1 () =
@@ -592,75 +603,6 @@ let test_validator_jobs_parity () =
       check_bool (Printf.sprintf "jobs=%d report identical" jobs) true (report_equal serial pooled))
     [ 1; 2; 8 ]
 
-(* ---------------------------------------------------------- event queue --- *)
-
-(* The historical pipeline the heap must reproduce: cons-reversed
-   accumulation followed by a stable sort on (time, kind). *)
-let eq_reference inserts =
-  List.stable_sort
-    (fun (t1, k1, _) (t2, k2, _) ->
-      let c = Float.compare t1 t2 in
-      if c <> 0 then c else compare (k1 : int) k2)
-    (List.rev inserts)
-
-let eq_show (t, k, p) = Printf.sprintf "%h/%d/%d" t k p
-
-let test_event_queue_basic () =
-  let q = Event_queue.create () in
-  check_bool "empty" true (Event_queue.is_empty q);
-  check_bool "pop of empty" true (Event_queue.pop q = None);
-  Event_queue.add q ~time:1.5 ~kind:1 7;
-  check_int "length" 1 (Event_queue.length q);
-  (match Event_queue.pop q with
-  | Some (t, k, p) ->
-    check_float "time" 1.5 t;
-    check_int "kind" 1 k;
-    check_int "payload" 7 p
-  | None -> Alcotest.fail "expected the single entry");
-  check_bool "drained" true (Event_queue.is_empty q)
-
-let test_event_queue_nan_rejected () =
-  Alcotest.check_raises "NaN time" (Invalid_argument "Event_queue.add: NaN time") (fun () ->
-      Event_queue.add (Event_queue.create ()) ~time:(0. /. 0.) ~kind:0 ())
-
-let test_event_queue_tie_order () =
-  let q = Event_queue.create () in
-  List.iter (fun p -> Event_queue.add q ~time:2. ~kind:0 p) [ 0; 1; 2 ];
-  Event_queue.add q ~time:2. ~kind:1 3;
-  Event_queue.add q ~time:1. ~kind:1 4;
-  let order = List.map (fun (_, _, p) -> p) (Event_queue.drain q) in
-  (* time 1 first; then the (2, 0) ties in reverse insertion order; kind 1 last. *)
-  Alcotest.(check (list int)) "deterministic tie order" [ 4; 2; 1; 0; 3 ] order
-
-let test_event_queue_drain_into () =
-  let q = Event_queue.create ~capacity:2 () in
-  List.iter
-    (fun (t, k, p) -> Event_queue.add q ~time:t ~kind:k p)
-    [ (2., 0, 0); (1., 1, 1); (2., 0, 2) ];
-  let n = Event_queue.length q in
-  let times = Array.make n 0. and kinds = Array.make n 0 and payloads = Array.make n (-1) in
-  check_int "count" 3 (Event_queue.drain_into q ~times ~kinds ~payloads);
-  (* time 1 first; then the (2, 0) ties in reverse insertion order. *)
-  Alcotest.(check (list int)) "payload order" [ 1; 2; 0 ] (Array.to_list payloads);
-  check_float "first time" 1. times.(0);
-  check_int "first kind" 1 kinds.(0);
-  check_bool "emptied" true (Event_queue.is_empty q);
-  Alcotest.check_raises "short destination"
-    (Invalid_argument "Event_queue.drain_into: destination arrays shorter than the queue")
-    (fun () ->
-      let q = Event_queue.create () in
-      Event_queue.add q ~time:0. ~kind:0 0;
-      ignore (Event_queue.drain_into q ~times:[||] ~kinds:[||] ~payloads:[||]))
-
-let test_event_queue_vs_reference =
-  qtest ~count:500 "heap order equals reversed-accumulator + stable sort"
-    QCheck.(list (pair (int_range 0 5) (int_range 0 1)))
-    (fun raw ->
-      let inserts = List.mapi (fun idx (t, k) -> (float_of_int t /. 2., k, idx)) raw in
-      let q = Event_queue.create () in
-      List.iter (fun (time, kind, p) -> Event_queue.add q ~time ~kind p) inserts;
-      List.map eq_show (Event_queue.drain q) = List.map eq_show (eq_reference inserts))
-
 (* --------------------------------------------------- heuristic schedules
    are also exercised against the oracle in test_heuristics; here we only
    pin the paper example. *)
@@ -676,7 +618,8 @@ let () =
         [ Alcotest.test_case "paper usage values" `Quick test_memory_usage_paper_values;
           Alcotest.test_case "paper peaks" `Quick test_memory_peaks_paper;
           Alcotest.test_case "trace shape" `Quick test_trace_shape;
-          Alcotest.test_case "usage_at" `Quick test_usage_at_interpolation ] );
+          Alcotest.test_case "usage_at" `Quick test_usage_at_interpolation;
+          Alcotest.test_case "NaN start rejected by both paths" `Quick test_nan_start_rejected ] );
       ( "validator",
         [ Alcotest.test_case "accepts s1" `Quick test_validator_accepts_s1;
           Alcotest.test_case "rejects memory overflow" `Quick test_validator_rejects_memory;
@@ -717,12 +660,6 @@ let () =
           Alcotest.test_case "zero-duration ties" `Quick test_tasks_by_proc_zero_duration_ties;
           Alcotest.test_case "bad processor rejected" `Quick test_tasks_by_proc_rejects_bad_proc;
           Alcotest.test_case "jobs 1/2/8 parity" `Quick test_validator_jobs_parity ] );
-      ( "event-queue",
-        [ Alcotest.test_case "basic" `Quick test_event_queue_basic;
-          Alcotest.test_case "NaN rejected" `Quick test_event_queue_nan_rejected;
-          Alcotest.test_case "tie order" `Quick test_event_queue_tie_order;
-          Alcotest.test_case "drain_into" `Quick test_event_queue_drain_into;
-          test_event_queue_vs_reference ] );
       ( "gantt",
         [ Alcotest.test_case "render" `Quick test_gantt_render;
           Alcotest.test_case "memory profile" `Quick test_gantt_memory_profile ] ) ]
